@@ -352,8 +352,6 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(spec, n_accesses=args.accesses, traces=TraceCache(),
                      runner=runner,
                      checkpoint_every=args.checkpoint_every,
-                     substrate=False if args.no_substrate else None,
-                     warm_reuse=not args.no_warm_reuse,
                      engine=args.engine,
                      store=store)
     path = to_csv(rows, args.out)
@@ -579,8 +577,8 @@ def cmd_bench(args) -> int:
             print(f"  {mode:>14s}     : {point['cells_per_s']:7.2f} "
                   f"cells/s ({point['best_s']:.3f}s best of "
                   f"{report['repeats']})")
-        print(f"substrate speedup    : {report['speedup_substrate']:.2f}x "
-              f"vs plain --jobs {report['jobs']}")
+        print(f"parallel speedup     : {report['speedup_vs_serial']:.2f}x "
+              f"vs --jobs 1")
     else:
         report = run_bench(apps=apps, n_accesses=accesses,
                            l1=_l1(args), repeats=args.repeats,
@@ -885,13 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid_flags(sweep_p)
     sweep_p.add_argument("--out", default="sweep.csv",
                          help="CSV output path")
-    sweep_p.add_argument("--no-substrate", action="store_true",
-                         help="with --jobs N: regenerate traces in each "
-                              "worker instead of attaching the parent's "
-                              "shared-memory segments")
-    sweep_p.add_argument("--no-warm-reuse", action="store_true",
-                         help="re-simulate every baseline run instead of "
-                              "restoring the first run's completed state")
     store_flag(sweep_p)
     engine(sweep_p)
     resilience(sweep_p)
@@ -960,8 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("hotpath", "sweep"),
                          help="hotpath: time simulate() replay; sweep: "
                               "time the end-to-end sweep pipeline at "
-                              "--jobs 1 vs --jobs N with/without the "
-                              "shared trace substrate")
+                              "--jobs 1 vs --jobs N")
     bench_p.add_argument("--jobs", type=int, default=4,
                          help="worker count for the parallel sweep-bench "
                               "modes (sweep mode only)")

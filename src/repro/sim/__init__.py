@@ -37,17 +37,13 @@ from .executors import (
     CellTask,
     Executor,
     ExecutorStats,
+    RetryPolicy,
     SerialExecutor,
     SupervisedPoolExecutor,
     executor_for,
 )
 from .faults import FaultInjector, FaultSpec, WorkerCrash, parse_fault
-from .resilience import (
-    ResilientRunner,
-    RetryPolicy,
-    RunnerStats,
-    load_journal,
-)
+from .resilience import ResilientRunner, RunnerStats, load_journal
 from .results import (
     Comparison,
     SimResult,

@@ -41,7 +41,7 @@ failed verification to a cache miss instead of raising.
 
 Alongside each checkpoint lives a **watchdog heartbeat**
 (``<ckpt>.heartbeat``), rewritten after every replay chunk with the
-current access position. :func:`repro.sim.resilience.call_with_timeout`
+current access position. :func:`repro.sim.executors.call_with_timeout`
 uses it to distinguish a slow cell (position advancing — deadline keeps
 extending) from a hung one (no progress for ``timeout_s`` — fires).
 """

@@ -232,11 +232,11 @@ def _worker_cell(fn: Callable[[], Dict[str, Any]],
 class CellTask:
     """One schedulable grid cell, as the executor layer sees it.
 
-    ``index`` is the submission index (row order — the runner maps
-    outcomes back to rows with it); ``ordinal`` is the serial-equivalent
-    execution ordinal fault specs key on; ``data_specs`` are the
-    data-level fault specs to arm in whichever process runs the cell;
-    ``heartbeat`` is the watchdog file for progress-aware timeouts.
+    ``index`` is the row index (the runner maps outcomes back to rows
+    with it); ``ordinal`` is the serial-equivalent execution ordinal
+    fault specs key on; ``data_specs`` are the data-level fault specs
+    to arm in whichever process runs the cell; ``heartbeat`` is the
+    watchdog file for progress-aware timeouts.
     """
 
     index: int
@@ -275,9 +275,10 @@ class ExecutorStats:
 class Executor(ABC):
     """Strategy interface for executing a batch of independent cells.
 
-    ``run`` yields one :class:`CellOutcome` per task in **completion
-    order** (the caller reorders by ``index``). Implementations own
-    their failure semantics: the contract is only that every task
+    ``run`` dispatches tasks in the order given and yields one
+    :class:`CellOutcome` per task in **completion order** (the caller
+    reorders by ``index``). Implementations own their failure
+    semantics: the contract is only that every task
     produces exactly one outcome and that deterministic cells produce
     identical payloads whichever executor ran them — that is what keeps
     sweep CSVs byte-identical across serial, pool, and (eventually)
@@ -407,6 +408,11 @@ class SupervisedPoolExecutor(Executor):
         normal path with no cells in flight (cheap no-op) and on the
         ``KeyboardInterrupt`` path where in-flight simulations must not
         pin the interpreter's exit for minutes.
+
+        The pool's manager thread reaps the terminated workers, so
+        close waits (bounded) for it: a caller that joined a worker
+        while that thread reaped it could otherwise lose the race for
+        the exit status and see a dead worker reported as alive.
         """
         pool, self._pool = self._pool, None
         if pool is None:
@@ -416,7 +422,10 @@ class SupervisedPoolExecutor(Executor):
                 proc.terminate()
             except OSError:  # pragma: no cover - already gone
                 pass
+        manager = getattr(pool, "_executor_manager_thread", None)
         pool.shutdown(wait=False, cancel_futures=True)
+        if manager is not None:
+            manager.join(timeout=5.0)
 
     # -- dispatch ----------------------------------------------------
 
@@ -447,9 +456,8 @@ class SupervisedPoolExecutor(Executor):
         # into solo suspect batches (prepended — attribution first) and
         # an innocents batch; healthy runs never leave the first batch.
         batches: "deque[List[CellTask]]" = deque()
-        first = sorted(tasks, key=lambda t: t.index)
-        if first:
-            batches.append(first)
+        if tasks:
+            batches.append(list(tasks))
         try:
             while batches:
                 batch = batches.popleft()

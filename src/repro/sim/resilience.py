@@ -53,7 +53,7 @@ from .checkpoint import (
     heartbeat_path,
     sweep_stale_heartbeats,
 )
-from .executors import (  # noqa: F401 — re-exported (historical home)
+from .executors import (
     STATUS_CRASHED,
     STATUS_ERROR,
     STATUS_OK,
@@ -61,11 +61,8 @@ from .executors import (  # noqa: F401 — re-exported (historical home)
     CellTask,
     Executor,
     RetryPolicy,
-    SerialExecutor,
     SupervisedPoolExecutor,
-    _execute_cell,
     call_with_timeout,
-    executor_for,
 )
 
 #: Keys the runner adds to every row it returns.
@@ -458,7 +455,9 @@ class ResilientRunner:
 
     def run_cells(self, cells: Sequence[Tuple[Dict[str, Any],
                                               Callable[[], Dict[str, Any]]]],
-                  jobs: Optional[int] = None) -> List[Dict[str, Any]]:
+                  jobs: Optional[int] = None,
+                  first: Optional[Callable[[Dict[str, Any]], bool]] = None
+                  ) -> List[Dict[str, Any]]:
         """Execute a batch of ``(key, fn)`` cells; rows in input order.
 
         With ``jobs == 1`` this is exactly ``[run_cell(k, f) for ...]``.
@@ -470,9 +469,15 @@ class ResilientRunner:
         worker handles its own retries and per-cell timeout. Journal
         records are appended in completion order — resume semantics
         only depend on the set of records, not their order — and the
-        returned list preserves the submission order, so downstream
-        CSVs are byte-identical to a serial run. Cell callables must be
+        returned list preserves the input order, so downstream CSVs are
+        byte-identical to a serial run. Cell callables must be
         picklable in parallel mode.
+
+        ``first`` is an optional predicate on a cell key: under
+        ``jobs > 1`` the cells it selects are dispatched before the
+        rest (a stable partition). It changes dispatch order only —
+        fault ordinals and rows still follow the input order, so a
+        fault spec hits the same cell in either mode.
         """
         jobs = self.jobs if jobs is None else jobs
         if jobs < 1:
@@ -502,6 +507,8 @@ class ResilientRunner:
                                 if self.faults is not None else ()),
                     heartbeat=self._heartbeat_for(key)))
                 self._ordinal += 1
+        if first is not None:
+            pending.sort(key=lambda task: not first(task.key))
         if pending:
             executor = self.executor
             if executor is None:

@@ -41,11 +41,8 @@ from repro.sim.faults import (
     arm_fault,
     clear_armed,
 )
-from repro.sim.resilience import (
-    ResilientRunner,
-    call_with_timeout,
-    load_journal,
-)
+from repro.sim.executors import call_with_timeout
+from repro.sim.resilience import ResilientRunner, load_journal
 from repro.sim.sweep import SweepSpec, run_sweep, to_csv
 
 CACHE = TraceCache()

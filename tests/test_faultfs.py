@@ -235,25 +235,23 @@ def test_touch_failure_is_silent(tmp_path, trace):
 
 def test_warmstate_publish_failure_is_counted(tmp_path, trace,
                                               monkeypatch):
-    cache = WarmStateCache(tmp_path / "warm")
-    (tmp_path / "warm").mkdir()
+    store = ResultStore(tmp_path / "store")
+    cache = WarmStateCache(store)
     arm("io_error@0x0")
     cache.store_result(trace, ooo_system(BASELINE_L1),
                        result_for(trace))
-    assert cache.publish_failures == 1
+    assert store.write_failures == 1
     # The in-memory tier still serves the result.
     assert cache.fetch_result(trace, ooo_system(BASELINE_L1)) is not None
 
 
 def test_warmstate_result_tmp_files_carry_tmp_suffix(tmp_path, trace):
-    """The directory-tier publish goes through atomic_write_bytes now,
-    so an orphaned temp file is visible to the store litter sweep."""
-    target = tmp_path / "warm"
-    target.mkdir()
-    cache = WarmStateCache(target)
+    """The store-tier publish goes through atomic_write_bytes, so an
+    orphaned temp file is visible to the store litter sweep."""
+    cache = WarmStateCache(ResultStore(tmp_path))
     cache.store_result(trace, ooo_system(BASELINE_L1),
                        result_for(trace))
-    names = [p.name for p in target.iterdir()]
+    names = [p.name for p in tmp_path.rglob("*") if p.is_file()]
     assert any(n.endswith(".result.pkl") for n in names)
     assert not [n for n in names if ".result.pkl." in n
                 and not n.endswith(".tmp")]

@@ -116,13 +116,12 @@ def test_sweep_report_shape():
     report = tiny_sweep_report()
     assert report["schema"] == SCHEMA and report["mode"] == "sweep"
     assert report["rows_identical"] is True
-    assert set(report["modes"]) == {"serial", "parallel_plain",
-                                    "substrate"}
+    assert set(report["modes"]) == {"serial", "parallel"}
     for point in report["modes"].values():
         assert point["best_s"] > 0 and point["cells_per_s"] > 0
     assert report["aggregate_cells_per_s"] == \
-        report["modes"]["substrate"]["cells_per_s"]
-    assert report["speedup_substrate"] > 0
+        report["modes"]["parallel"]["cells_per_s"]
+    assert report["speedup_vs_serial"] > 0
     assert report["cells"] == 4  # 1 app x 2 configs x 2 conds x 1 seed
 
 

@@ -18,7 +18,8 @@ import pytest
 from repro.errors import ConfigError, SimulationError, TransientError
 from repro.sim import BASELINE_L1, SIPT_GEOMETRIES, ResilientRunner
 from repro.sim.faults import FaultInjector
-from repro.sim.resilience import RetryPolicy, load_journal
+from repro.sim.executors import RetryPolicy
+from repro.sim.resilience import load_journal
 from repro.sim.sweep import SweepSpec, run_sweep, to_csv
 
 

@@ -9,12 +9,8 @@ import pytest
 from repro.errors import SimulationError, TransientError
 from repro.sim import BASELINE_L1, SIPT_GEOMETRIES, TraceCache
 from repro.sim.faults import FaultInjector, WorkerCrash
-from repro.sim.resilience import (
-    ResilientRunner,
-    RetryPolicy,
-    cell_id,
-    load_journal,
-)
+from repro.sim.executors import RetryPolicy
+from repro.sim.resilience import ResilientRunner, cell_id, load_journal
 from repro.sim.sweep import FIELDS, SweepSpec, run_sweep, to_csv
 
 CACHE = TraceCache()
@@ -285,6 +281,28 @@ def test_data_fault_parallel_then_resume_identical(tmp_path):
     a = to_csv(resumed, tmp_path / "resumed.csv")
     b = to_csv(clean, tmp_path / "clean.csv")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_data_fault_ordinal_same_serial_and_parallel(tmp_path):
+    """A data-level fault spec hits the same cell serially and under
+    --jobs 2. With two seeds the baseline-first dispatch reorders the
+    grid; ordinals must still follow grid order, so the CSVs are
+    byte-identical."""
+    spec = SweepSpec(apps=["perlbench", "mcf"],
+                     configs={"baseline": BASELINE_L1,
+                              "32K_2w": SIPT_GEOMETRIES["32K_2w"]},
+                     seeds=[0, 1], baseline="baseline")
+    paths = []
+    for jobs in (1, 2):
+        runner = ResilientRunner(jobs=jobs,
+                                 faults=FaultInjector(["corrupt_trace@2"]))
+        rows = run_sweep(spec, n_accesses=1500, traces=TraceCache(),
+                         runner=runner)
+        bad = [r for r in rows if r["status"] != "ok"]
+        assert [(r["app"], r["config"], r["seed"]) for r in bad] == \
+            [("perlbench", "32K_2w", 0)]
+        paths.append(to_csv(rows, tmp_path / f"jobs{jobs}.csv"))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # ---------------------------------------------------------------------
