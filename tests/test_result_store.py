@@ -24,13 +24,12 @@ import threading
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim import BASELINE_L1, SIPT_GEOMETRIES, ooo_system
+from repro.sim import BASELINE_L1, SIPT_GEOMETRIES, ooo_system, warmstate
 from repro.sim.experiment import TraceCache
 from repro.sim.faults import FaultInjector
 from repro.sim.resilience import ResilientRunner
 from repro.sim.sweep import (SweepSpec, grid_cells, rows_from_store,
                              run_sweep)
-from repro.sim.warmstate import ephemeral_warm_cache
 from repro.store import (ResultStore, cell_digest, job_id_for, job_status,
                          list_jobs, load_job, release_claims, submit_job,
                          system_payload)
@@ -327,8 +326,8 @@ def test_serial_sweeps_share_ephemeral_warm_cache_across_calls():
     """Regression: each run_sweep used to build a private cache, so a
     second invocation in the same process re-simulated every baseline
     the first had already published."""
-    cache = ephemeral_warm_cache()
-    assert cache is ephemeral_warm_cache()  # process-wide singleton
+    cache = warmstate.warm_cache_for()
+    assert cache is warmstate.warm_cache_for()  # process-wide singleton
     spec = SweepSpec(apps=["tonto"],
                      configs={"base": BASELINE_L1,
                               "sipt": SIPT_GEOMETRIES["32K_2w"]},
@@ -342,7 +341,7 @@ def test_serial_sweeps_share_ephemeral_warm_cache_across_calls():
 def test_ephemeral_store_tier_detaches_after_sweep(tmp_path):
     run_sweep(spec_small(), n_accesses=600, traces=TraceCache(),
               store=ResultStore(tmp_path))
-    assert ephemeral_warm_cache().result_store is None
+    assert warmstate._PROCESS_CACHE.result_store is None
 
 
 # ---------------------------------------------------------------------
