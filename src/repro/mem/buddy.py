@@ -188,7 +188,56 @@ class BuddyAllocator:
             raise ValueError(
                 f"block at {base} has order {actual}, not {order}")
         self.stats.frees += 1
-        current, cur_order = base, actual
+        self._coalesce_and_insert(base, actual)
+
+    def free_run(self, base: int, order: int) -> None:
+        """Free the ``2**order`` order-0 blocks at ``base``, ``base + 1``, ...
+
+        Same end state and counters as calling :meth:`free` on each frame
+        in ascending order: every free but the last stops at a still
+        allocated buddy inside the run, the last one merges the whole run
+        into one order-``order`` block and coalesces on from there. Every
+        frame is validated before anything changes.
+        """
+        if not 0 <= order <= MAX_ORDER or base % (1 << order):
+            raise ValueError(
+                f"run at {base} is not an aligned order-{order} run")
+        run = range(base, base + (1 << order))
+        allocated = self._allocated
+        for frame in run:
+            if allocated.get(frame) != 0:
+                raise ValueError(
+                    f"frame {frame} is not a live order-0 block")
+        for frame in run:
+            del allocated[frame]
+        self.stats.frees += len(run)
+        self.stats.coalesces += len(run) - 1
+        self._coalesce_and_insert(base, order)
+
+    def allocate_all_order0(self) -> List[int]:
+        """Allocate every free frame as its own order-0 block.
+
+        Same end state and counters as calling ``try_allocate(0)`` until
+        it returns ``None`` — a block of order ``k`` costs ``2**k - 1``
+        splits, and the final failing call counts one failed allocation —
+        in one pass over the free blocks. Returns the frames in ascending
+        order.
+        """
+        frames: List[int] = []
+        for base, order in sorted(self._free_blocks.items()):
+            frames.extend(range(base, base + (1 << order)))
+            self.stats.splits += (1 << order) - 1
+        self._allocated.update(dict.fromkeys(frames, 0))
+        self.stats.allocations += len(frames)
+        self.stats.failed_allocations += 1
+        self._free_blocks.clear()
+        self._heaps = [[] for _ in range(MAX_ORDER + 1)]
+        self._live_counts = [0] * (MAX_ORDER + 1)
+        self._free_frame_total = 0
+        return frames
+
+    def _coalesce_and_insert(self, current: int, cur_order: int) -> None:
+        """Merge the newly freed block with free buddies, then list it."""
         while cur_order < MAX_ORDER:
             buddy = current ^ (1 << cur_order)
             if buddy >= self.total_frames:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .buddy import HUGE_PAGE_ORDER, BuddyAllocator, OutOfMemoryError
+from .buddy import HUGE_PAGE_ORDER, BuddyAllocator
 
 
 def unusable_free_space_index(buddy: BuddyAllocator,
@@ -47,19 +47,9 @@ def fragment_memory(buddy: BuddyAllocator,
     if buddy.unusable_free_space_index(order) >= target_fu:
         return buddy.unusable_free_space_index(order)
 
-    grabbed = _grab_all_pages(buddy)
+    grabbed = buddy.allocate_all_order0()
     _free_short_runs(buddy, grabbed, free_fraction, rng)
     return buddy.unusable_free_space_index(order)
-
-
-def _grab_all_pages(buddy: BuddyAllocator) -> list:
-    """Allocate order-0 pages until the allocator is empty."""
-    grabbed = []
-    while True:
-        frame = buddy.try_allocate(0)
-        if frame is None:
-            return grabbed
-        grabbed.append(frame)
 
 
 #: Run lengths freed inside each window, and their weights. Short runs
@@ -93,10 +83,9 @@ def _free_short_runs(buddy: BuddyAllocator, grabbed: list,
         if freed >= target:
             break
         base = int(window) * _WINDOW
-        run = range(base, base + int(run_len))
-        if not all(frame in grabbed_set for frame in run):
+        run_len = int(run_len)
+        # Each window is visited once, so a grabbed run is still held.
+        if not grabbed_set.issuperset(range(base, base + run_len)):
             continue
-        for frame in run:
-            buddy.free(frame, 0)
-            grabbed_set.discard(frame)
-        freed += int(run_len)
+        buddy.free_run(base, run_len.bit_length() - 1)
+        freed += run_len

@@ -98,6 +98,7 @@ class ReplayProcess(Process):
         self.memory = None
         self.page_table = page_table
         self.regions = []
+        self._owned = set()
         self._next_va = self.HEAP_BASE
 
     def touch(self, va: int) -> int:  # pragma: no cover - guard only

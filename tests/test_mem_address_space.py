@@ -145,3 +145,36 @@ def test_two_processes_do_not_share_frames():
     pfns1 = {e.pfn for _, e in p1.page_table.entries()}
     pfns2 = {e.pfn for _, e in p2.page_table.entries()}
     assert not pfns1 & pfns2
+
+
+def test_populate_rejects_region_of_another_process():
+    memory = PhysicalMemory(16 * 1024 * 1024, thp_enabled=False)
+    p1, p2 = Process(memory, asid=1), Process(memory, asid=2)
+    r1 = p1.mmap(8 * PAGE_SIZE)
+    r2 = p2.mmap(8 * PAGE_SIZE)
+    # Both heaps start at the same base: only ownership tells them apart.
+    assert (r1.start, r1.length) == (r2.start, r2.length)
+    free = memory.buddy.free_frames()
+    with pytest.raises(ValueError):
+        p1.populate(r2)
+    assert len(p1.page_table) == len(p2.page_table) == 0
+    assert p1.stats.minor_faults == 0
+    assert memory.buddy.free_frames() == free
+
+
+def test_populate_rejects_unmapped_region():
+    memory, proc = make_process(thp=False)
+    region = proc.mmap(4 * PAGE_SIZE)
+    proc.munmap(region)
+    with pytest.raises(ValueError):
+        proc.populate(region)
+    assert len(proc.page_table) == 0
+
+
+def test_touch_outside_every_region_still_segfaults():
+    _, proc = make_process(thp=False)
+    region = proc.mmap(4 * PAGE_SIZE)
+    proc.populate(region)
+    with pytest.raises(MemoryError, match="segfault"):
+        proc.touch(region.end)
+    assert len(proc.page_table) == 4

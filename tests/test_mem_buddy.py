@@ -1,5 +1,8 @@
 """Unit and property tests for the buddy allocator."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,3 +131,154 @@ def test_property_alloc_free_never_corrupts(orders, rnd):
         buddy.free(base, order)
     buddy.check_invariants()
     assert buddy.free_frames() == 1 << 12
+
+
+# ----------------------------------------------------------------------
+# bulk operations: allocate_all_order0 and free_run
+# ----------------------------------------------------------------------
+#: (order, pick) steps of a random allocate/free history; ``pick``
+#: chooses between allocating and freeing, and which live block to free.
+HISTORY = st.lists(st.tuples(st.integers(min_value=0, max_value=6),
+                             st.integers(min_value=0, max_value=10_000)),
+                   max_size=60)
+TOTALS = st.sampled_from([64, 1000, 1 << 11])
+NEXT_ORDERS = st.lists(st.integers(min_value=0, max_value=4),
+                       min_size=64, max_size=64)
+#: Seeds the per-frame coin flips: thousands of frames would exceed
+#: hypothesis's entropy budget if each flip were drawn from it.
+FLIP_SEEDS = st.integers(min_value=0, max_value=2 ** 32)
+
+
+def _with_history(total, history):
+    """A non-fresh allocator: mixed-order live blocks and free holes."""
+    buddy = BuddyAllocator(total)
+    live = []
+    for order, pick in history:
+        if live and pick % 3 == 0:
+            base, o = live.pop(pick % len(live))
+            buddy.free(base, o)
+            continue
+        block = buddy.try_allocate(order)
+        if block is not None:
+            live.append((block, order))
+    return buddy
+
+
+def _state(buddy):
+    return (dict(buddy._free_blocks), dict(buddy._allocated),
+            dataclasses.astuple(buddy.stats), buddy.free_blocks_by_order(),
+            buddy.free_frames())
+
+
+def _drain_frame_by_frame(buddy):
+    frames = []
+    while True:
+        frame = buddy.try_allocate(0)
+        if frame is None:
+            return frames
+        frames.append(frame)
+
+
+def _assert_same_future(bulk, loop, orders):
+    """Both allocators hand out the same frames from here on."""
+    assert ([bulk.try_allocate(k) for k in orders]
+            == [loop.try_allocate(k) for k in orders])
+    assert _state(bulk) == _state(loop)
+    bulk.check_invariants()
+
+
+@settings(max_examples=60, deadline=None)
+@given(TOTALS, HISTORY, FLIP_SEEDS, NEXT_ORDERS)
+def test_property_allocate_all_order0_matches_frame_loop(total, history,
+                                                         flip_seed, orders):
+    rnd = random.Random(flip_seed)
+    bulk, loop = _with_history(total, history), _with_history(total, history)
+    frames = bulk.allocate_all_order0()
+    assert frames == sorted(_drain_frame_by_frame(loop))
+    assert _state(bulk) == _state(loop)
+    bulk.check_invariants()
+    # Return a random subset so the next allocations have choices.
+    for frame in frames:
+        if rnd.random() < 0.5:
+            bulk.free(frame, 0)
+            loop.free(frame, 0)
+    _assert_same_future(bulk, loop, orders)
+
+
+@settings(max_examples=60, deadline=None)
+@given(TOTALS, HISTORY, FLIP_SEEDS, st.sampled_from([0.05, 0.3, 0.6]),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=1 << 11),
+                          st.integers(min_value=0, max_value=5)),
+                max_size=30),
+       NEXT_ORDERS)
+def test_property_free_run_matches_ascending_frees(total, history,
+                                                   flip_seed, hole_rate,
+                                                   runs, orders):
+    rnd = random.Random(flip_seed)
+    bulk, loop = _with_history(total, history), _with_history(total, history)
+    drained = bulk.allocate_all_order0()
+    _drain_frame_by_frame(loop)
+    # Free holes first, so runs can coalesce with free blocks around them.
+    for frame in drained:
+        if rnd.random() < hole_rate:
+            bulk.free(frame, 0)
+            loop.free(frame, 0)
+    for start, order in runs:
+        base = (start % total) & ~((1 << order) - 1)
+        run = range(base, base + (1 << order))
+        if run.stop > total:
+            continue
+        if all(bulk._allocated.get(frame) == 0 for frame in run):
+            bulk.free_run(base, order)
+            for frame in run:
+                loop.free(frame, 0)
+        else:
+            before = _state(bulk)
+            with pytest.raises(ValueError):
+                bulk.free_run(base, order)
+            assert _state(bulk) == before
+        assert _state(bulk) == _state(loop)
+        bulk.check_invariants()
+    _assert_same_future(bulk, loop, orders)
+
+
+def test_allocate_all_order0_on_full_allocator_counts_one_failure():
+    buddy = BuddyAllocator(8)
+    buddy.allocate(3)
+    assert buddy.allocate_all_order0() == []
+    assert buddy.stats.failed_allocations == 1
+    assert buddy.stats.allocations == 1
+
+
+@pytest.mark.parametrize("spoil", ["free_frame", "order1_block",
+                                   "misaligned"])
+def test_free_run_rejects_bad_runs_without_side_effects(spoil):
+    buddy = BuddyAllocator(64)
+    buddy.allocate(1)                      # frames 0-1: one order-1 block
+    frames = buddy.allocate_all_order0()   # frames 2-63: order 0
+    base, order = 4, 2
+    if spoil == "free_frame":
+        buddy.free(frames[3], 0)           # frame 5, inside the run
+    elif spoil == "order1_block":
+        base = 0
+    else:
+        base = 6
+    before = _state(buddy)
+    with pytest.raises(ValueError):
+        buddy.free_run(base, order)
+    assert _state(buddy) == before
+    buddy.check_invariants()
+
+
+def test_free_run_coalesces_past_the_run():
+    bulk, loop = BuddyAllocator(64), BuddyAllocator(64)
+    bulk.allocate_all_order0()
+    _drain_frame_by_frame(loop)
+    for buddy in (bulk, loop):
+        for frame in range(4, 8):
+            buddy.free(frame, 0)
+    bulk.free_run(0, 2)
+    for frame in range(4):
+        loop.free(frame, 0)
+    assert bulk._free_blocks == {0: 3}
+    assert _state(bulk) == _state(loop)
