@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import enum
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -205,16 +207,20 @@ def build_memory_image(profile: AppProfile, memory: PhysicalMemory,
     return process, regions
 
 
-def _region_offset_to_va(regions: List[VmRegion], footprint: int,
+def _region_offset_to_va(regions: List[VmRegion], ends: List[int],
                          offset: int) -> int:
-    """Map a flat footprint offset onto the (possibly split) regions."""
-    for region in regions:
-        if offset < region.length:
-            return region.start + offset
-        offset -= region.length
+    """Map a flat footprint offset onto the (possibly split) regions.
+
+    ``ends`` holds the regions' prefix lengths (``ends[i]`` is the flat
+    offset one past region ``i``), so the region is found by bisection.
+    """
+    i = bisect_right(ends, offset)
+    if i < len(regions):
+        region = regions[i]
+        return region.start + offset - (ends[i] - region.length)
     # Wrap (patterns yield offsets modulo the footprint already, but a
     # final partial chunk can make the region sum slightly larger).
-    return regions[-1].start + (offset % regions[-1].length)
+    return regions[-1].start + ((offset - ends[-1]) % regions[-1].length)
 
 
 def generate_trace(app: str, n_accesses: int,
@@ -237,6 +243,7 @@ def generate_trace(app: str, n_accesses: int,
     if memory is None:
         memory = _condition_memory(condition, phys_bytes, rng)
     process, regions = build_memory_image(profile, memory, rng)
+    region_ends = list(accumulate(region.length for region in regions))
 
     generators = []
     pc_bases = []
@@ -281,8 +288,7 @@ def generate_trace(app: str, n_accesses: int,
             address = last_line[comp] | int(line_offsets[i])
         else:
             offset = next(generators[comp])
-            address = _region_offset_to_va(regions, profile.footprint,
-                                           offset)
+            address = _region_offset_to_va(regions, region_ends, offset)
         last_line[comp] = address & ~63
         va[i] = address
         # Static loads have region affinity: every 32 KiB block of each
