@@ -116,16 +116,23 @@ def _energy_model(system: SystemConfig) -> EnergyModel:
 
 
 def _attach_walker(l1: SiptL1Cache, miss_path: CacheHierarchy,
-                   trace: Trace) -> None:
+                   trace: Trace) -> Callable[[int], int]:
     """Give the TLB a hardware page walker over the core's miss path.
 
     Walker loads are physical accesses into the page-table radix tree
     (Section II-B's x86-walker argument); they share the L2/LLC with
-    demand traffic, so TLB-miss latency becomes dynamic.
+    demand traffic, so TLB-miss latency becomes dynamic. Returns the
+    walker's memory callback: the context keeps it so the kernel can
+    recognise (by identity) a walker still reading this miss path and
+    compile its walks onto the compiled miss path.
     """
     from ..cache.walker import PageWalker
-    l1.tlb.walker = PageWalker(
-        lambda pa: miss_path.access(pa, is_write=False))
+
+    def load(pa: int) -> int:
+        return miss_path.access(pa, is_write=False)
+
+    l1.tlb.walker = PageWalker(load)
+    return load
 
 
 class _CoreContext:
@@ -143,7 +150,8 @@ class _CoreContext:
         self.trace = trace
         self.l1 = _build_l1(system)
         self.miss_path = _build_miss_path(system, shared_llc, shared_dram)
-        _attach_walker(self.l1, self.miss_path, trace)
+        self._walker_load = _attach_walker(self.l1, self.miss_path,
+                                           trace)
         self.core = _build_core(system, trace.mlp)
         self.energy_model = _energy_model(system)
         # One registry per simulated core: every component's live stats
