@@ -564,15 +564,13 @@ def cmd_bench(args) -> int:
     if unknown:
         raise ConfigError(f"unknown apps {unknown}; see `repro list`")
     if args.mode == "sweep":
-        if args.engine != "python":
-            raise ConfigError(
-                "--engine applies to hotpath mode; the sweep bench "
-                "times the pipeline around replay, not replay itself")
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         report = run_sweep_bench(apps=apps, n_accesses=accesses,
                                  seeds=seeds, jobs=args.jobs,
-                                 repeats=args.repeats, label=args.label)
-        print(f"sweep of {report['cells']} cells, jobs={report['jobs']}:")
+                                 repeats=args.repeats, label=args.label,
+                                 engine=args.engine)
+        print(f"sweep of {report['cells']} cells, jobs={report['jobs']}, "
+              f"engine={report['engine']}:")
         for mode, point in report["modes"].items():
             print(f"  {mode:>14s}     : {point['cells_per_s']:7.2f} "
                   f"cells/s ({point['best_s']:.3f}s best of "

@@ -266,12 +266,14 @@ def _clear_sweep_state() -> None:
     warm_cache_for().clear()
 
 
-def _time_sweep_once(spec, n_accesses: int, jobs: int):
+def _time_sweep_once(spec, n_accesses: int, jobs: int,
+                     engine: str = "python"):
     """One cold wall-clock measurement of one run_sweep() mode.
 
     Cold means: process-wide caches cleared, a fresh trace cache, and a
     private checkpoint directory (so no journal resume can skip cells).
-    Returns ``(seconds, rows)``.
+    ``engine`` is the replay engine every cell runs. Returns
+    ``(seconds, rows)``.
     """
     import shutil
     import tempfile
@@ -284,7 +286,8 @@ def _time_sweep_once(spec, n_accesses: int, jobs: int):
         runner = ResilientRunner(jobs=jobs, checkpoint_dir=tmp)
         start = time.perf_counter()
         rows = run_sweep(spec, n_accesses=n_accesses,
-                         traces=TraceCache(), runner=runner)
+                         traces=TraceCache(), runner=runner,
+                         engine=engine)
         return time.perf_counter() - start, rows
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -305,7 +308,8 @@ def run_sweep_bench(apps: Optional[Iterable[str]] = None,
                     seeds: Iterable[int] = (0, 1),
                     jobs: int = 4,
                     repeats: int = 2,
-                    label: Optional[str] = None) -> dict:
+                    label: Optional[str] = None,
+                    engine: str = "python") -> dict:
     """Measure end-to-end sweep throughput; returns the trajectory point.
 
     Times the same grid two ways:
@@ -325,6 +329,10 @@ def run_sweep_bench(apps: Optional[Iterable[str]] = None,
     ``speedup_vs_serial`` is the **median of the per-round
     serial/parallel ratios** — a paired estimator, robust against a
     single lucky round in either mode.
+
+    ``engine`` is every cell's replay engine and is recorded in the
+    report: with ``"kernel"`` the point times cold kernel cells,
+    stream construction and first replay included.
     """
     if n_accesses <= 0:
         raise ConfigError(f"n_accesses must be positive, got {n_accesses}")
@@ -343,7 +351,8 @@ def run_sweep_bench(apps: Optional[Iterable[str]] = None,
     row_blobs: Dict[str, str] = {}
     for _ in range(repeats):
         for name, mode_jobs in modes.items():
-            seconds, rows = _time_sweep_once(spec, n_accesses, mode_jobs)
+            seconds, rows = _time_sweep_once(spec, n_accesses, mode_jobs,
+                                             engine)
             times[name].append(seconds)
             row_blobs[name] = json.dumps(rows, sort_keys=True,
                                          default=str)
@@ -375,6 +384,7 @@ def run_sweep_bench(apps: Optional[Iterable[str]] = None,
         "n_accesses": n_accesses,
         "repeats": repeats,
         "jobs": jobs,
+        "engine": engine,
         "apps": list(apps),
         "configs": list(configs),
         "conditions": [c.value for c in spec.conditions],

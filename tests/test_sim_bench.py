@@ -125,6 +125,32 @@ def test_sweep_report_shape():
     assert report["cells"] == 4  # 1 app x 2 configs x 2 conds x 1 seed
 
 
+def test_sweep_bench_honours_engine(monkeypatch):
+    """--engine reaches every simulated cell and is recorded."""
+    from repro.sim import kernel as kernel_mod
+    from repro.sim.bench import _sweep_bench_spec, _time_sweep_once
+    report = run_sweep_bench(apps=["povray"], n_accesses=300,
+                             configs=["32K_2w"], seeds=(0,), jobs=2,
+                             repeats=1, engine="kernel")
+    assert report["engine"] == "kernel"
+    assert report["rows_identical"] is True
+    assert tiny_sweep_report()["engine"] == "python"
+    built = []
+    real = kernel_mod.make_engine
+
+    def counting(ctx, oracle):
+        built.append(ctx)
+        return real(ctx, oracle)
+
+    monkeypatch.setattr(kernel_mod, "make_engine", counting)
+    spec = _sweep_bench_spec(["povray"], ["32K_2w"], [0])
+    _, python_rows = _time_sweep_once(spec, 300, 1, "python")
+    assert built == []
+    _, kernel_rows = _time_sweep_once(spec, 300, 1, "kernel")
+    assert built
+    assert kernel_rows == python_rows
+
+
 def test_sweep_input_validation():
     with pytest.raises(ConfigError):
         run_sweep_bench(jobs=1)
