@@ -18,6 +18,8 @@ import hashlib
 
 import pytest
 
+from repro.workloads.shared import (SHARING_KINDS, SharedWorkload,
+                                    generate_shared_traces)
 from repro.workloads.spec import get_profile
 from repro.workloads.substrate import RAW_COLUMNS, columns_for
 from repro.workloads.trace import MemoryCondition, generate_trace
@@ -129,3 +131,45 @@ def test_coverage_spans_every_alloc_style():
 def test_memory_image_matches_golden(app, condition):
     trace = generate_trace(app, ACCESSES, condition, seed=SEED)
     assert memory_image_digest(trace) == GOLDEN[(app, condition.value)]
+
+
+# ----------------------------------------------------------------------
+# shared-memory traces: THP-ineligible regions in one shared process
+# ----------------------------------------------------------------------
+#: One process maps a shared segment plus a private region per thread,
+#: all with ``thp_eligible=False``; the app goldens above never populate
+#: more than one data process in a conditioned memory.
+SHARED_CONDITIONS = (MemoryCondition.NORMAL, MemoryCondition.FRAGMENTED)
+
+SHARED_GOLDEN = {
+    ("partitioned", "normal"):
+        "30f88df5ad27f68eee5705adfb97b199ade79c6dc8181a8497127d104a15f81f",
+    ("partitioned", "fragmented"):
+        "5da6103e92f821ca898103fa5ad5e4de046814c786d21206908d2d5ab1f25702",
+    ("producer_consumer", "normal"):
+        "4ef2ee833929f8440e37bc946b9fa776191e5d128e39be9356ca5112696a3202",
+    ("producer_consumer", "fragmented"):
+        "61fa6b72cb2ceee5f737127abbedfcfa499777f69136599abf7799ad89b7bbba",
+    ("contended", "normal"):
+        "f2f2646d71a82e4242c8285b0e70fb83d90aa462a4fa3c7fe43cc4a9ff87c2d6",
+    ("contended", "fragmented"):
+        "173be812d42a33259d0b2152e55c2fb665a027340bfd066b60bdab2c109432bc",
+}
+
+
+def shared_image_digest(traces) -> str:
+    """sha256 over the memory-image digests of every thread's trace."""
+    h = hashlib.sha256()
+    for trace in traces:
+        h.update(memory_image_digest(trace).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("condition", SHARED_CONDITIONS,
+                         ids=lambda c: c.value)
+@pytest.mark.parametrize("kind", SHARING_KINDS)
+def test_shared_memory_image_matches_golden(kind, condition):
+    traces = generate_shared_traces(SharedWorkload(kind=kind), ACCESSES,
+                                    condition, seed=SEED)
+    assert (shared_image_digest(traces)
+            == SHARED_GOLDEN[(kind, condition.value)])
