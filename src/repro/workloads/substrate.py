@@ -323,6 +323,14 @@ class ArrayPageTable(PageTable):
                  writable: bool = True) -> None:
         raise ValueError("attached page tables are read-only")
 
+    def map_run(self, first_vpn: int, pfns, huge: bool = False) -> None:
+        raise ValueError("attached page tables are read-only")
+
+    def any_mapped(self, first_vpn: int, count: int) -> bool:
+        index = int(np.searchsorted(self._vpns, first_vpn))
+        return (index < self._vpns.shape[0]
+                and int(self._vpns[index]) < first_vpn + count)
+
     def unmap_page(self, vpn: int) -> PageTableEntry:
         raise ValueError("attached page tables are read-only")
 
