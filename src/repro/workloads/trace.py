@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import enum
 import zlib
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -207,20 +205,24 @@ def build_memory_image(profile: AppProfile, memory: PhysicalMemory,
     return process, regions
 
 
-def _region_offset_to_va(regions: List[VmRegion], ends: List[int],
-                         offset: int) -> int:
-    """Map a flat footprint offset onto the (possibly split) regions.
+def _offsets_to_va(regions: List[VmRegion],
+                   offsets: np.ndarray) -> np.ndarray:
+    """Map flat footprint offsets onto the (possibly split) regions.
 
-    ``ends`` holds the regions' prefix lengths (``ends[i]`` is the flat
-    offset one past region ``i``), so the region is found by bisection.
+    Each offset's region is found by a binary search of the regions'
+    prefix lengths.
     """
-    i = bisect_right(ends, offset)
-    if i < len(regions):
-        region = regions[i]
-        return region.start + offset - (ends[i] - region.length)
+    starts = np.array([region.start for region in regions], dtype=np.int64)
+    lengths = np.array([region.length for region in regions],
+                       dtype=np.int64)
+    ends = np.cumsum(lengths)
+    i = np.searchsorted(ends, offsets, side="right")
+    inside = np.minimum(i, len(regions) - 1)
+    va = starts[inside] + offsets - (ends[inside] - lengths[inside])
     # Wrap (patterns yield offsets modulo the footprint already, but a
     # final partial chunk can make the region sum slightly larger).
-    return regions[-1].start + ((offset - ends[-1]) % regions[-1].length)
+    wrapped = starts[-1] + (offsets - ends[-1]) % lengths[-1]
+    return np.where(i < len(regions), va, wrapped)
 
 
 def generate_trace(app: str, n_accesses: int,
@@ -243,9 +245,8 @@ def generate_trace(app: str, n_accesses: int,
     if memory is None:
         memory = _condition_memory(condition, phys_bytes, rng)
     process, regions = build_memory_image(profile, memory, rng)
-    region_ends = list(accumulate(region.length for region in regions))
 
-    generators = []
+    patterns = []
     pc_bases = []
     weights = []
     dep_means = []
@@ -258,8 +259,8 @@ def generate_trace(app: str, n_accesses: int,
         if spec.alpha:
             params["alpha"] = spec.alpha
         kind_rng = np.random.default_rng(rng.integers(2 ** 31))
-        generators.append(make_pattern(spec.kind, profile.footprint,
-                                       kind_rng, **params))
+        patterns.append(make_pattern(spec.kind, profile.footprint,
+                                     kind_rng, **params))
         pc_bases.append(0x400000 + i * 0x100000)
         weights.append(spec.weight)
         dep_means.append(spec.dep_dist_mean)
@@ -267,7 +268,7 @@ def generate_trace(app: str, n_accesses: int,
     weights = weights / weights.sum()
 
     # Pre-draw all randomness in bulk for speed.
-    component = rng.choice(len(generators), size=n_accesses, p=weights)
+    component = rng.choice(len(patterns), size=n_accesses, p=weights)
     writes = rng.random(n_accesses) < profile.write_frac
     gap_mean = max(0.0, 1.0 / profile.mem_per_inst - 1.0)
     inst_gap = rng.poisson(gap_mean, size=n_accesses).astype(np.int32)
@@ -275,34 +276,43 @@ def generate_trace(app: str, n_accesses: int,
     repeats = rng.random(n_accesses) < profile.repeat_frac
     line_offsets = rng.integers(0, 8, size=n_accesses) * 8
 
-    pc = np.empty(n_accesses, dtype=np.int64)
+    # Work component by component: ``by_comp`` lists the accesses grouped
+    # by component, in trace order within each group. An access draws
+    # the next offset of its component's pattern unless it repeats:
+    # temporal line reuse, where the same static load re-touches its
+    # current line (loop iteration, adjacent struct fields). A
+    # component's first access has no line yet, so it always draws.
+    by_comp = np.argsort(component, kind="stable")
+    comp = component[by_comp]
+    firsts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
+    draws = ~repeats[by_comp]
+    draws[firsts] = True
+    counts = np.add.reduceat(draws.astype(np.int64), firsts)
+    drawn = np.zeros(n_accesses, dtype=np.int64)
+    drawn[draws] = _offsets_to_va(regions, np.concatenate([
+        patterns[c].take(int(k)) for c, k in zip(comp[firsts], counts)]))
+    # A repeat's line is its component's latest draw's line; groups
+    # start with a draw, so the running maximum never crosses groups.
+    latest = np.maximum.accumulate(
+        np.where(draws, np.arange(n_accesses), 0))
     va = np.empty(n_accesses, dtype=np.int64)
-    dep_dist = np.empty(n_accesses, dtype=np.int32)
-    huge_hits = 0
-    last_line = [-1] * len(generators)
-    for i in range(n_accesses):
-        comp = component[i]
-        if repeats[i] and last_line[comp] >= 0:
-            # Temporal line reuse: the same static load re-touches its
-            # current line (loop iteration, adjacent struct fields).
-            address = last_line[comp] | int(line_offsets[i])
-        else:
-            offset = next(generators[comp])
-            address = _region_offset_to_va(regions, region_ends, offset)
-        last_line[comp] = address & ~63
-        va[i] = address
-        # Static loads have region affinity: every 32 KiB block of each
-        # component gets its own PC, as if a distinct static load walks
-        # each data structure. Each PC therefore sees a stable VA->PA
-        # delta when the underlying mapping is stable — the property
-        # that makes PC-indexed predictors (Sections V-VI) work. Having
-        # more PCs than predictor entries is normal; the tables alias
-        # exactly as they would on real code.
-        pc[i] = pc_bases[comp] + 4 * ((address - Process.HEAP_BASE) >> 15)
-        dep_dist[i] = int(dep_draw[i] * dep_means[comp])
-        entry = process.page_table.lookup(address >> 12)
-        if entry is not None and entry.huge:
-            huge_hits += 1
+    va[by_comp] = np.where(draws, drawn, (drawn[latest] & ~63)
+                           | line_offsets[by_comp])
+
+    # Static loads have region affinity: every 32 KiB block of each
+    # component gets its own PC, as if a distinct static load walks
+    # each data structure. Each PC therefore sees a stable VA->PA
+    # delta when the underlying mapping is stable — the property
+    # that makes PC-indexed predictors (Sections V-VI) work. Having
+    # more PCs than predictor entries is normal; the tables alias
+    # exactly as they would on real code.
+    pc = (np.asarray(pc_bases, dtype=np.int64)[component]
+          + 4 * ((va - Process.HEAP_BASE) >> 15))
+    dep_dist = (dep_draw * np.asarray(dep_means)[component]).astype(np.int32)
+    pages, per_page = np.unique(va >> 12, return_counts=True)
+    lookup = process.page_table.lookup
+    huge = [getattr(lookup(vpn), "huge", False) for vpn in pages.tolist()]
+    huge_hits = int(per_page[np.asarray(huge, dtype=bool)].sum())
 
     return Trace(
         app=app,
