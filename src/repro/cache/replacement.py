@@ -8,6 +8,7 @@ model calls them millions of times per experiment.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import List, Optional
 
 import numpy as np
@@ -63,8 +64,9 @@ class LruPolicy(ReplacementPolicy):
         if n_ways > 255:
             raise ValueError(f"LruPolicy supports at most 255 ways, "
                              f"got {n_ways}")
-        self._stacks: List[bytearray] = [bytearray(range(n_ways))
-                                         for _ in range(n_sets)]
+        # Every stack starts as a copy of one template stack.
+        self._stacks: List[bytearray] = list(map(
+            bytearray, repeat(bytes(range(n_ways)), n_sets)))
 
     def touch(self, set_index: int, way: int) -> None:
         stack = self._stacks[set_index]

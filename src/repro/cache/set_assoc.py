@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import List, Optional, Tuple
 
 from .replacement import ReplacementPolicy, make_policy
@@ -116,11 +117,15 @@ class SetAssociativeCache:
         # — ``array.index`` even compares raw int64s instead of boxed
         # ints — while a checkpoint serializes each whole plane with
         # one C-level join instead of flattening 10k+ Python objects
-        # (see state_dict).
-        self._tags: List[array] = [array("q", [-1] * n_ways)
-                                   for _ in range(n_sets)]
-        self._dirty: List[bytearray] = [bytearray(n_ways)
-                                        for _ in range(n_sets)]
+        # (see state_dict). Every row starts as a copy of one template
+        # row, which costs a fraction of building each one element by
+        # element.
+        empty = array("q", [-1] * n_ways)
+        self._tags: List[array] = list(map(array.__copy__,
+                                           repeat(empty, n_sets)))
+        self._dirty: List[bytearray] = list(map(bytearray,
+                                                repeat(bytes(n_ways),
+                                                       n_sets)))
         # Per-set line -> way map mirroring ``_tags``: an associative
         # lookup is O(1) instead of an O(ways) list scan on every probe.
         # ``_tags`` stays authoritative (tests inspect it); the dict is

@@ -1,5 +1,7 @@
 """Tests for the set-associative cache model."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,28 @@ def test_invalid_geometry_rejected():
         SetAssociativeCache(48 * 1024, 64, 4)  # 192 sets: not a power of 2
     with pytest.raises(ValueError):
         SetAssociativeCache(32 * 1024, 48, 8)  # line size not power of 2
+
+
+@pytest.mark.parametrize("capacity,ways", [(2 * 1024 * 1024, 16),
+                                            (256 * 1024, 8),
+                                            (32 * 1024, 2)])
+def test_fresh_planes_match_element_wise_construction(capacity, ways):
+    """Rows copied from a template are the rows built one by one, and
+    every row is its own object."""
+    cache = SetAssociativeCache(capacity, 64, ways)
+    fresh = cache.state_dict()
+    n_sets = cache.n_sets
+    cache._tags[:] = [array("q", [-1] * ways) for _ in range(n_sets)]
+    cache._dirty[:] = [bytearray(ways) for _ in range(n_sets)]
+    cache.policy._stacks[:] = [bytearray(range(ways))
+                               for _ in range(n_sets)]
+    assert fresh == cache.state_dict()
+    rebuilt = SetAssociativeCache(capacity, 64, ways)
+    for plane in (rebuilt._tags, rebuilt._dirty, rebuilt.policy._stacks):
+        assert len({id(row) for row in plane}) == n_sets
+    rebuilt.access(0x40, is_write=True)
+    assert rebuilt.resident_lines() == [1]
+    assert sum(map(sum, rebuilt._dirty)) == 1
 
 
 def test_miss_then_hit():
