@@ -78,7 +78,7 @@ def generate_shared_traces(workload: SharedWorkload, n_accesses: int,
     for thread in range(workload.n_threads):
         traces.append(_thread_trace(workload, thread, shared,
                                     privates[thread], process,
-                                    n_accesses, rng))
+                                    n_accesses, condition, rng))
     return traces
 
 
@@ -110,7 +110,7 @@ def _is_shared_write(workload: SharedWorkload, thread: int,
 
 
 def _thread_trace(workload, thread, shared, private, process,
-                  n_accesses, rng) -> Trace:
+                  n_accesses, condition, rng) -> Trace:
     va = np.empty(n_accesses, dtype=np.int64)
     is_write = np.empty(n_accesses, dtype=bool)
     pc = np.empty(n_accesses, dtype=np.int64)
@@ -130,7 +130,7 @@ def _thread_trace(workload, thread, shared, private, process,
             pc[i] = 0x400000 + 4 * ((int(private_offsets[i]) >> 15) % 64)
     return Trace(
         app=f"{workload.kind}/t{thread}",
-        condition=MemoryCondition.NORMAL,
+        condition=condition,
         process=process,
         pc=pc,
         va=va,

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.sim import SIPT_GEOMETRIES, ooo_system, simulate_coherent
+from repro.sim.checkpoint import trace_identity
 from repro.workloads import SharedWorkload, generate_shared_traces
+from repro.workloads.trace import MemoryCondition
 
 N = 2500
 SIPT = SIPT_GEOMETRIES["32K_2w"]
@@ -34,6 +36,18 @@ def test_threads_share_one_address_space():
     # Shared VAs appear in more than one thread's stream.
     sets = [set(int(v) >> 12 for v in t.va) for t in traces]
     assert sets[0] & sets[1]
+
+
+@pytest.mark.parametrize("condition", list(MemoryCondition),
+                         ids=lambda c: c.value)
+def test_threads_carry_the_requested_condition(condition):
+    """The condition label feeds trace identities and store digests, so
+    it must name the memory the threads were really built in."""
+    traces = generate_shared_traces(SharedWorkload(kind="contended"),
+                                    200, condition=condition, seed=0)
+    assert {t.condition for t in traces} == {condition}
+    assert {trace_identity(t)["condition"] for t in traces} == {
+        condition.value}
 
 
 def test_coherent_run_completes_with_invariants():
