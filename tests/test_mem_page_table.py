@@ -1,5 +1,7 @@
 """Direct unit tests for the page table."""
 
+import pickle
+
 import pytest
 
 from repro.mem import (
@@ -87,3 +89,29 @@ def test_entry_is_immutable():
     entry = PageTableEntry(pfn=1)
     with pytest.raises(AttributeError):
         entry.pfn = 2
+
+
+def test_entry_is_a_value():
+    """Entries compare, hash, print and pickle by their fields, as the
+    frozen dataclass they replaced did."""
+    entry = PageTableEntry(pfn=7, huge=True)
+    twin = PageTableEntry(7, True, True)
+    assert entry == twin and hash(entry) == hash(twin)
+    assert entry != PageTableEntry(pfn=7)
+    assert entry != (7, True, True)
+    assert repr(entry) == "PageTableEntry(pfn=7, huge=True, writable=True)"
+    assert pickle.loads(pickle.dumps(entry)) == entry
+    with pytest.raises(AttributeError):
+        del entry.huge
+
+
+def test_map_run_rejects_overlap_before_mapping_anything():
+    table = PageTable()
+    table.map_page(5, 50)
+    with pytest.raises(ValueError, match="0x5"):
+        table.map_run(3, [30, 40, 50, 60])
+    assert len(table) == 1
+    table.map_run(6, range(60, 63), huge=True)
+    assert [table.lookup(v) for v in (6, 8)] == [
+        PageTableEntry(60, huge=True), PageTableEntry(62, huge=True)]
+    assert table.any_mapped(4, 2) and not table.any_mapped(9, 100)

@@ -89,6 +89,11 @@ def test_array_page_table_matches_eager(trace):
         assert (got.pfn, got.huge, got.writable) == \
             (entry.pfn, entry.huge, entry.writable)
     assert table.lookup(max(int(v) for v in vpns) + 999) is None
+    first, last = int(vpns[0]), int(vpns[-1])
+    for start, count in [(first - 5, 5), (first - 5, 6), (first, 1),
+                         (last, 1), (last + 1, 100), (first, last)]:
+        assert table.any_mapped(start, count) == eager.any_mapped(start,
+                                                                  count)
 
 
 def test_array_page_table_is_read_only(trace):
@@ -98,6 +103,8 @@ def test_array_page_table_is_read_only(trace):
         table.map_page(12345, 678)
     with pytest.raises(ValueError):
         table.unmap_page(int(vpns[0]))
+    with pytest.raises(ValueError):
+        table.map_run(12345, [678, 679])
 
 
 # ---------------------------------------------------------------------
