@@ -8,10 +8,15 @@ Every component's counters are wired into a per-run
 :class:`~repro.obs.registry.MetricsRegistry` (namespaces documented in
 ``docs/observability.md``); the end-of-run harvest is a single
 ``registry.snapshot()`` rather than hand-picked attribute chains.
-``simulate`` optionally emits an interval time-series
-(``interval=N``) and/or a sampled decision trace
-(``decision_trace=DecisionTrace(...)``) — both are strictly opt-in and
-leave the default hot loop untouched.
+Every single-core replay runs through one chunk scheduler,
+:func:`_replay_chunked`: it cuts the trace into ranges at interval,
+checkpoint and injected-crash boundaries (one range when none is set)
+and hands each to a range replayer — the fused python loop
+(:func:`_replay_range`), the array-compiled kernel, or the decision
+tracer (:func:`_traced_replay`). Interval sampling
+(``interval=N``) and decision tracing
+(``decision_trace=DecisionTrace(...)``) are strictly opt-in and leave
+the default hot loop untouched.
 
 :func:`simulate_multicore` runs four traces against private L1/L2s and
 a shared LLC/DRAM, recycling shorter traces until the longest completes
@@ -24,7 +29,7 @@ import sys
 import threading
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from ..cache.hierarchy import CacheHierarchy
 from ..cache.set_assoc import SetAssociativeCache
@@ -135,6 +140,51 @@ def _attach_walker(l1: SiptL1Cache, miss_path: CacheHierarchy,
     return load
 
 
+class RowCursor:
+    """Rows of zipped trace columns, handed out as consecutive ranges.
+
+    A full pass is one plain zip. A chunked replay (interval sampling,
+    checkpointing) visits consecutive ranges, so a range that starts
+    where the last consumed one ended continues its iterator: the whole
+    replay walks one zip in O(n) instead of slicing the columns per
+    chunk (O(chunks x n) copying for small ``--interval`` or
+    ``--checkpoint-every`` values). Any other start (resume,
+    out-of-order use) skips forward in C via islice, never copying.
+    Shared by :func:`_replay_range` and the kernel engine.
+    """
+
+    __slots__ = ("_columns", "_n", "_it", "position")
+
+    def __init__(self, columns: Sequence[Sequence]):
+        self._columns = columns
+        self._n = len(columns[0])
+        self._it = None
+        #: Where the parked iterator stands; ``None`` when none is.
+        self.position: Optional[int] = None
+
+    def rows(self, start: int, end: int):
+        """An iterator over the rows ``[start, end)``."""
+        it = self._it if self.position == start else None
+        self._it = self.position = None
+        if it is None:
+            it = zip(*self._columns)
+            if start == 0 and end == self._n:
+                return it
+            if start:
+                next(islice(it, start - 1, start), None)
+        self._it = it
+        return islice(it, end - start)
+
+    def park(self, end: int) -> None:
+        """Mark the last range consumed: a range at ``end`` continues it.
+
+        Called only after the replayer has run the whole range, so a
+        range abandoned mid-way (an exception) is never continued.
+        """
+        if self._it is not None:
+            self.position = end
+
+
 class _CoreContext:
     """Everything private to one core during a (multi)core simulation."""
 
@@ -185,11 +235,8 @@ class _CoreContext:
         self._line_shift = self.l1.cache.line_shift
         self._conflict_window = self.PORT_CONFLICT_WINDOW
         self._conflict_cycles = self.PORT_CONFLICT_CYCLES
-        # (position, column iterator) carried between chunked
-        # _replay_range calls: sequential chunks (interval sampling,
-        # checkpointing) continue one zip instead of re-slicing the
-        # columns per chunk, keeping a whole chunked replay O(n).
-        self._cursor = None
+        self._row_cursor = RowCursor((self._gap, self._pc, self._va,
+                                      self._is_write, self._dep))
 
     def step(self):
         """Replay one trace record (recycling at the end).
@@ -223,7 +270,7 @@ class _CoreContext:
         """JSON-safe snapshot of every stateful component in this core.
 
         Composed into the "repro-ckpt-1" checkpoint payload by
-        :func:`_replay_checkpointed`; the registry is *not* serialized —
+        :func:`_replay_chunked`; the registry is *not* serialized —
         it holds references to the live stats objects, which are
         restored in place, so a post-load ``registry.snapshot()`` reads
         the restored counters automatically.
@@ -304,8 +351,8 @@ def _replay_range(ctx: _CoreContext, start: int, end: int) -> None:
     it stays on ``step()``; a single-core replay owns the whole loop
     and this form is measurably faster. Port-conflict state is read
     from and written back to the context, so consecutive ranges chain
-    exactly like one continuous loop (interval sampling replays in
-    interval-sized ranges).
+    exactly like one continuous loop (the chunk scheduler replays in
+    interval- and checkpoint-sized ranges).
     """
     retire = ctx._retire
     l1_access = ctx._l1_access
@@ -318,30 +365,8 @@ def _replay_range(ctx: _CoreContext, start: int, end: int) -> None:
     conflict_cycles = ctx._conflict_cycles
     port_busy = ctx._port_busy
     port_conflicts = ctx.port_conflicts
-    if start == 0 and end == ctx._len:
-        columns = zip(ctx._gap, ctx._pc, ctx._va, ctx._is_write,
-                      ctx._dep)
-        it = None
-    else:
-        # Chunked replay (interval sampling, checkpointing) visits
-        # consecutive ranges: continue the previous chunk's iterator
-        # when it is parked exactly at `start`, so a whole chunked
-        # replay consumes one zip in O(n) instead of building
-        # O(chunks) column slices (O(chunks x n) copying for small
-        # --interval/--checkpoint-every values). A cold or mismatched
-        # cursor (resume, out-of-order use) skips forward in C via
-        # islice, never copying.
-        cursor = ctx._cursor
-        if cursor is not None and cursor[0] == start:
-            it = cursor[1]
-        else:
-            it = zip(ctx._gap, ctx._pc, ctx._va, ctx._is_write,
-                     ctx._dep)
-            if start:
-                next(islice(it, start - 1, start), None)
-        ctx._cursor = None
-        columns = islice(it, end - start)
-    for gap, pc, va, is_write, dep in columns:
+    cursor = ctx._row_cursor
+    for gap, pc, va, is_write, dep in cursor.rows(start, end):
         retire(gap)
         result = l1_access(pc, va, is_write, page_table)
         latency = result.latency
@@ -357,62 +382,64 @@ def _replay_range(ctx: _CoreContext, start: int, end: int) -> None:
         memory_access(latency, is_write, dep)
     ctx.port_conflicts = port_conflicts
     ctx._port_busy = port_busy
-    if it is not None:
-        ctx._cursor = (end, it)
+    cursor.park(end)
 
 
-def _make_sampler(ctx: _CoreContext, interval: int) -> IntervalSampler:
-    """An interval sampler over this context's registry and energy model."""
-    return IntervalSampler(ctx.registry, interval,
-                           energy_model=ctx.energy_model,
-                           l1_data_energy_factor=ctx.energy_factor)
+def _traced_replay(decision_trace: DecisionTrace) -> Callable:
+    """A range replayer that records every sampled access's decision.
 
-
-def _replay_intervals(ctx: _CoreContext, interval: int,
-                      replay: Callable = _replay_range) -> None:
-    """Replay in interval-sized fused ranges, sampling between them.
-
-    Per-access cost is identical to the plain fused loop — the sampler
-    only runs at interval boundaries (plus once for a trailing partial
-    interval), which is what keeps the measured overhead of
-    ``interval=10000`` small (docs/observability.md quantifies it).
-    ``replay`` is the range replayer — the python oracle by default,
-    or the kernel engine's :meth:`~repro.sim.kernel.KernelEngine.replay`
-    under ``engine="kernel"``; both chain state through the context.
+    Tracing needs the per-access :class:`L1AccessResult`, so it runs on
+    :meth:`_CoreContext.step` instead of the fused loop — slower, which
+    is why it is opt-in (the zero-cost-when-off guarantee applies to the
+    *default* path, not this one). ``step()`` reads ``ctx.position``,
+    which the chunk scheduler keeps at each chunk's start.
     """
-    sampler = _make_sampler(ctx, interval)
-    n = ctx._len
-    for start in range(0, n, interval):
-        end = min(start + interval, n)
-        replay(ctx, start, end)
-        sampler.sample(end)
-    ctx.intervals = sampler.records
+    sample = decision_trace.sample
+    record = decision_trace.record
+
+    def replay(ctx: _CoreContext, start: int, end: int) -> None:
+        step = ctx.step
+        pc, va = ctx._pc, ctx._va
+        for i in range(start, end):
+            result = step()
+            if i % sample == 0:
+                record(i, pc[i], va[i], result)
+
+    return replay
 
 
-def _replay_checkpointed(ctx: _CoreContext, interval: Optional[int],
-                         checkpoint_every: Optional[int],
-                         checkpoint_path: Optional[Union[str, Path]],
-                         resume_checkpoint: Optional[Union[str, Path]],
-                         crash_at: Optional[int],
-                         replay: Callable = _replay_range) -> None:
-    """Chunked replay with periodic snapshots and/or mid-trace resume.
+def _replay_chunked(ctx: _CoreContext, replay: Callable,
+                    interval: Optional[int] = None,
+                    checkpoint_every: Optional[int] = None,
+                    checkpoint_path: Optional[Union[str, Path]] = None,
+                    resume_checkpoint: Optional[Union[str, Path]] = None,
+                    crash_at: Optional[int] = None) -> None:
+    """Replay the whole trace as ``replay(ctx, start, end)`` chunks.
 
-    The same :func:`_replay_range` chunking the interval sampler uses:
-    chunk boundaries are the union of the interval grid, the checkpoint
-    grid, and (under fault injection) the armed crash ordinal, so
-    per-access cost is the plain fused loop's. Between chunks the loop
-    samples intervals on interval boundaries, writes a digest-protected
-    snapshot on checkpoint boundaries, and refreshes the watchdog
-    heartbeat. Because ``_replay_range`` chains port-conflict state
-    through the context and every component restores in place, a
-    resumed run's remaining chunks are byte-identical to an
-    uninterrupted run's.
+    The one single-core scheduler. ``replay`` is the fused python loop
+    (:func:`_replay_range`), the kernel engine's
+    :meth:`~repro.sim.kernel.KernelEngine.replay`, or the decision
+    tracer (:func:`_traced_replay`); all chain state through the
+    context. Chunk boundaries are the union of the interval grid, the
+    checkpoint grid, and (under fault injection) the armed crash
+    ordinal; with none of them set the trace is one ``replay(ctx, 0,
+    n)`` call. Between chunks the loop samples intervals on interval
+    boundaries (plus once for a trailing partial interval), writes a
+    digest-protected snapshot on checkpoint boundaries, and refreshes
+    the watchdog heartbeat, so per-access cost is the replayer's own
+    (docs/observability.md quantifies the sampling overhead). Because
+    every component restores in place, a resumed run's remaining
+    chunks are byte-identical to an uninterrupted run's.
 
     On completion the snapshot and heartbeat are deleted: a finished
     cell must not look "resumable" to the runner, and a later re-run of
     the same cell must start from access 0.
     """
-    sampler = _make_sampler(ctx, interval) if interval else None
+    sampler = None
+    if interval:
+        sampler = IntervalSampler(ctx.registry, interval,
+                                  energy_model=ctx.energy_model,
+                                  l1_data_energy_factor=ctx.energy_factor)
     n = ctx._len
     start = 0
     if resume_checkpoint is not None:
@@ -533,31 +560,10 @@ def _replay_checkpointed(ctx: _CoreContext, interval: Optional[int],
                 pass
 
 
-def _replay_traced(ctx: _CoreContext, interval: Optional[int],
-                   decision_trace: DecisionTrace) -> None:
-    """Replay one access at a time, recording sampled decisions.
-
-    Tracing needs the per-access :class:`L1AccessResult`, so this path
-    runs on :meth:`_CoreContext.step` instead of the fused loop —
-    slower, which is why it is opt-in (the zero-cost-when-off
-    guarantee applies to the *default* path, not this one).
-    """
-    sampler = _make_sampler(ctx, interval) if interval else None
-    sample = decision_trace.sample
-    record = decision_trace.record
-    step = ctx.step
-    pc, va = ctx._pc, ctx._va
-    n = ctx._len
-    for i in range(n):
-        result = step()
-        if i % sample == 0:
-            record(i, pc[i], va[i], result)
-        if sampler is not None and (i + 1) % interval == 0:
-            sampler.sample(i + 1)
-    if sampler is not None:
-        if n % interval:
-            sampler.sample(n)
-        ctx.intervals = sampler.records
+def _check_engine(engine: str) -> None:
+    if engine not in ("python", "kernel"):
+        raise ConfigError(
+            f"unknown engine {engine!r}: expected 'python' or 'kernel'")
 
 
 def simulate(trace: Trace, system: SystemConfig,
@@ -587,9 +593,9 @@ def simulate(trace: Trace, system: SystemConfig,
     decision_trace:
         When set, record every ``decision_trace.sample``-th access's
         SIPT decision into the ring buffer. This opts into a slower
-        per-access replay loop; leave it ``None`` for performance runs.
-        Incompatible with checkpointing (the ring buffer is not part of
-        the snapshot).
+        per-access replay loop that always runs the python engine;
+        leave it ``None`` for performance runs. Incompatible with
+        checkpointing (the ring buffer is not part of the snapshot).
     checkpoint_every:
         When set (with ``checkpoint_path``), write a crash-safe
         "repro-ckpt-1" snapshot every that many accesses; a killed run
@@ -636,9 +642,7 @@ def simulate(trace: Trace, system: SystemConfig,
     seed produces identical results, metrics, and interval records —
     in this process or a ``--jobs`` worker, resumed or uninterrupted.
     """
-    if engine not in ("python", "kernel"):
-        raise ConfigError(
-            f"unknown engine {engine!r}: expected 'python' or 'kernel'")
+    _check_engine(engine)
     crash_at: Optional[int] = None
     faulted = _faults.any_armed()
     if faulted:
@@ -655,6 +659,9 @@ def simulate(trace: Trace, system: SystemConfig,
     if checkpoint_every is not None and checkpoint_every <= 0:
         raise ConfigError("checkpoint_every must be a positive access "
                           f"count, got {checkpoint_every}")
+    if interval is not None and interval <= 0:
+        raise ConfigError("interval must be a positive access count, "
+                          f"got {interval}")
     if (checkpoint_every is None) != (checkpoint_path is None):
         raise ConfigError("checkpoint_every and checkpoint_path must be "
                           "given together")
@@ -680,27 +687,22 @@ def simulate(trace: Trace, system: SystemConfig,
             ctx.completed_once = True
             return ctx.result()
     replay: Callable = _replay_range
-    if engine == "kernel" and decision_trace is None:
+    if decision_trace is not None:
+        # The decision trace needs the per-access L1AccessResult, so
+        # it never builds the kernel.
+        replay = _traced_replay(decision_trace)
+    elif engine == "kernel":
         # Built after fault injection so a poisoned predictor is
         # visible to the engine's first verification (which fails it
-        # over to the oracle); the decision-trace path needs the
-        # per-access L1AccessResult and always runs step().
+        # over to the oracle).
         from .kernel import make_engine
         kernel = make_engine(ctx, _replay_range)
         if kernel is not None:
             replay = kernel.replay
-    if decision_trace is not None:
-        _replay_traced(ctx, interval, decision_trace)
-    elif checkpointed:
-        _replay_checkpointed(ctx, interval, checkpoint_every,
-                             checkpoint_path, resume_checkpoint,
-                             crash_at, replay)
-    elif interval:
-        _replay_intervals(ctx, interval, replay)
-    else:
-        replay(ctx, 0, ctx._len)
-        if warm_state is not None:
-            warm_state.store(trace, system, ctx.state_dict())
+    _replay_chunked(ctx, replay, interval, checkpoint_every,
+                    checkpoint_path, resume_checkpoint, crash_at)
+    if warm_state is not None:
+        warm_state.store(trace, system, ctx.state_dict())
     ctx.completed_once = True
     return ctx.result()
 
@@ -724,9 +726,7 @@ def simulate_multicore(traces: Sequence[Trace], system: SystemConfig,
     byte-identical results, with a cold-state fallback to this loop
     for any configuration the kernel declines.
     """
-    if engine not in ("python", "kernel"):
-        raise ConfigError(
-            f"unknown engine {engine!r}: expected 'python' or 'kernel'")
+    _check_engine(engine)
     if not traces:
         raise ConfigError("need at least one trace")
     for trace in traces:

@@ -90,7 +90,6 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from collections import Counter, OrderedDict
-from itertools import islice
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -109,6 +108,7 @@ from ..timing.detailed import DetailedOooCore
 from ..timing.inorder import InOrderCore
 from ..timing.ooo import OooCore
 from ..workloads.substrate import columns_for
+from .driver import RowCursor
 
 #: Accesses between structural snapshots in the precomputed streams.
 #: Reconstructing an arbitrary position costs at most one snapshot
@@ -1231,7 +1231,7 @@ class KernelEngine:
         # columns: (gap, is_write, dep, pa, line, sidx, lat, fast) —
         # gap is width-scaled floats for the analytic cores, raw
         # instruction counts for the detailed core's live retire().
-        self._columns = streams.columns
+        self._row_cursor = RowCursor(streams.columns)
         self._walk_events = streams.walk_events
         self._walk_pos = streams.walk_pos
         self._cum_pconf = streams.cum_pconf
@@ -1249,7 +1249,6 @@ class KernelEngine:
         self._core = ctx.core
         self._synced: Optional[int] = None
         self._fallback = False
-        self._cursor = None
 
     # -- public protocol -------------------------------------------------
     def replay(self, ctx, start: int, end: int) -> None:
@@ -1257,7 +1256,9 @@ class KernelEngine:
         if self._fallback:
             self._oracle(ctx, start, end)
             return
-        if start != self._synced and not self._verify(start):
+        if start != self._synced and not _state_matches(
+                self._ctx, self._tlb_stream, self._spec_stream,
+                self._extra, start):
             self._fallback = True
             self._oracle(ctx, start, end)
             return
@@ -1265,44 +1266,13 @@ class KernelEngine:
             self._run(start, end)
         self._synced = end
 
-    # -- verification ----------------------------------------------------
-    def _verify(self, start: int) -> bool:
-        """Does the live context state match the streams at ``start``?
-
-        Checked: TLB structural state, predictor weights/history/
-        deltas, and the port-busy flag against the extra-access
-        history. Stats are *not* checked — they are carried by the
-        context and the kernel only ever adds deltas to them. The live
-        L1 array, miss path, and walker are driven directly and carry
-        no precomputed assumption.
-        """
-        try:
-            if _snap_tlb(self._tlb) != self._tlb_stream.snap_at(start):
-                return False
-            ss = self._spec_stream
-            if ss is not None and _snap_spec(
-                    self._l1.perceptron, self._l1.idb) != ss.snap_at(start):
-                return False
-            expect_busy = bool(self._extra[start - 1]) if start else False
-            if bool(self._ctx._port_busy) != expect_busy:
-                return False
-        except Exception:  # noqa: BLE001 — any doubt means oracle
-            return False
-        return True
-
     # -- hot path --------------------------------------------------------
     def _run(self, start: int, end: int) -> None:
         ctx = self._ctx
         cache = self._cache
         core = self._core
-        cursor = self._cursor
-        if cursor is not None and cursor[0] == start:
-            it = cursor[1]
-        else:
-            it = zip(*self._columns)
-            if start:
-                next(islice(it, start - 1, start), None)
-        self._cursor = None
+        cursor = self._row_cursor
+        rows = cursor.rows(start, end)
         if self._walk_sync is not None:
             self._walk_sync[0]()
         tlb = self._tlb
@@ -1323,7 +1293,7 @@ class KernelEngine:
             miss_writeback = ctx._miss_writeback
         (cyc, ld_stall, st_stall, hits, evics, l1_wb,
          wp_pred, wp_corr, wp_sec, _walk_i) = self._loop(
-            islice(it, end - start),
+            rows,
             self._walk_events, bisect_left(self._walk_pos, start),
             self._walk, walk_base, ctx._page_table.asid,
             self._l1.hit_latency,
@@ -1340,7 +1310,7 @@ class KernelEngine:
             stats.cycles = cyc
             stats.load_stall_cycles = ld_stall
             stats.store_stall_cycles = st_stall
-        self._cursor = (end, it)
+        cursor.park(end)
         self._flush(start, end, hits, evics, l1_wb,
                     wp_pred, wp_corr, wp_sec)
 
@@ -1359,6 +1329,30 @@ class KernelEngine:
                     evics=evics, l1_wb=l1_wb,
                     fills=(end - start) - hits,
                     fold_instructions=not self._detailed)
+
+
+def _state_matches(ctx, ts, ss, extra, start: int) -> bool:
+    """Does the live context state match the streams at ``start``?
+
+    Checked: TLB structural state, predictor weights/history/deltas,
+    and the port-busy flag against the extra-access history. Stats are
+    *not* checked — they are carried by the context and the kernel only
+    ever adds deltas to them. The live L1 array, miss path, and walker
+    are driven directly and carry no precomputed assumption. Used by
+    :meth:`KernelEngine.replay` whenever it cannot prove continuity and
+    by :func:`run_multicore_kernel` at every core's cold start.
+    """
+    l1 = ctx.l1
+    try:
+        if _snap_tlb(l1.tlb) != ts.snap_at(start):
+            return False
+        if ss is not None and _snap_spec(
+                l1.perceptron, l1.idb) != ss.snap_at(start):
+            return False
+        expect_busy = bool(extra[start - 1]) if start else False
+        return bool(ctx._port_busy) == expect_busy
+    except Exception:  # noqa: BLE001 — any doubt means oracle
+        return False
 
 
 def _fold_range(ctx, ts, ss, cum_pconf, cum_inst, extra,
@@ -1468,20 +1462,16 @@ def make_engine(ctx, oracle) -> Optional[KernelEngine]:
     instead of declining, for diagnosis.
     """
     try:
-        return _build(ctx, oracle)
+        streams = _build_streams(ctx)
+        if not isinstance(streams, str):
+            return KernelEngine(ctx, oracle, streams)
     except Exception as exc:  # noqa: BLE001 — build failure means oracle
         if os.environ.get("REPRO_KERNEL_DEBUG"):
             raise
         _decline(f"build-error:{type(exc).__name__}")
         return None
-
-
-def _build(ctx, oracle) -> Optional[KernelEngine]:
-    streams = _build_streams(ctx)
-    if isinstance(streams, str):
-        _decline(streams)
-        return None
-    return KernelEngine(ctx, oracle, streams)
+    _decline(streams)
+    return None
 
 
 class _Streams:
@@ -1498,7 +1488,7 @@ _CORE_KINDS = {OooCore: "ooo", InOrderCore: "ino",
 def _build_streams(ctx):
     """Gate a context and build its streams; a str is a decline reason.
 
-    The shared front half of :func:`_build` (single-core) and
+    The shared front half of :func:`make_engine` (single-core) and
     :func:`run_multicore_kernel`: the configuration gates with their
     per-reason decline labels, then the memoized column/stream
     construction.
@@ -1728,23 +1718,6 @@ class _McCore:
         self.wp_on = wp is not None
         self.wp_penalty = wp.mispredict_penalty if wp is not None else 0
 
-    def verify_start(self) -> bool:
-        """Cold-start check, mirroring ``KernelEngine._verify`` at 0."""
-        ctx = self.ctx
-        ts = self.streams.ts
-        ss = self.streams.ss
-        try:
-            if _snap_tlb(ctx.l1.tlb) != ts.snap_at(0):
-                return False
-            if ss is not None and _snap_spec(
-                    ctx.l1.perceptron, ctx.l1.idb) != ss.snap_at(0):
-                return False
-            if bool(ctx._port_busy):
-                return False
-        except Exception:  # noqa: BLE001 — any doubt means oracle
-            return False
-        return True
-
     def step_stream(self) -> None:
         """One access via the streams (mirror of ``_CoreContext.step``)."""
         i = self.pos
@@ -1806,26 +1779,6 @@ class _McCore:
         self.live = True
 
 
-class _McEngine:
-    """Round-robin multicore driver over per-core stream state."""
-
-    def __init__(self, cores: List[_McCore]):
-        self._cores = cores
-
-    def run(self) -> None:
-        cores = self._cores
-        contexts = [core.ctx for core in cores]
-        # Mirror of simulate_multicore's oracle loop: full rounds with
-        # the completion check between them, so shared LLC/DRAM state
-        # evolves in exactly the oracle's interleaving.
-        while not all(ctx.completed_once for ctx in contexts):
-            for core in cores:
-                if core.live:
-                    core.ctx.step()
-                else:
-                    core.step_stream()
-
-
 def run_multicore_kernel(contexts: Sequence) -> bool:
     """Drive a whole multicore run through per-core streams.
 
@@ -1846,15 +1799,23 @@ def run_multicore_kernel(contexts: Sequence) -> bool:
             if isinstance(streams, str):
                 _decline("multicore:" + streams)
                 return False
-            core = _McCore(ctx, streams)
-            if not core.verify_start():
+            if not _state_matches(ctx, streams.ts, streams.ss,
+                                  streams.extra, 0):
                 _decline("multicore:start-state")
                 return False
-            cores.append(core)
+            cores.append(_McCore(ctx, streams))
     except Exception as exc:  # noqa: BLE001 — build failure means oracle
         if os.environ.get("REPRO_KERNEL_DEBUG"):
             raise
         _decline(f"multicore:build-error:{type(exc).__name__}")
         return False
-    _McEngine(cores).run()
+    # Mirror of simulate_multicore's oracle loop: full rounds with the
+    # completion check between them, so shared LLC/DRAM state evolves
+    # in exactly the oracle's interleaving.
+    while not all(ctx.completed_once for ctx in contexts):
+        for core in cores:
+            if core.live:
+                core.ctx.step()
+            else:
+                core.step_stream()
     return True

@@ -207,6 +207,16 @@ def test_stats_csv_without_interval_exits_1(tmp_path, capsys):
     assert "--interval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("interval", ["0", "-5"])
+def test_stats_non_positive_interval_exits_1(tmp_path, capsys, interval):
+    jsonl = tmp_path / "intervals.jsonl"
+    rc = main(["stats", "--app", "povray", "--accesses", "1000",
+               "--interval", interval, "--intervals-out", str(jsonl)])
+    assert rc == 1
+    assert "interval" in capsys.readouterr().err
+    assert not jsonl.exists()
+
+
 def test_trace_command(tmp_path, capsys):
     out_path = tmp_path / "trace.jsonl"
     rc = main(["trace", "--app", "povray", "--accesses", "2000",

@@ -29,6 +29,7 @@ from repro.obs import (
 from repro.obs.intervals import CSV_FIELDS, OUTCOME_KEYS, SCHEMA
 from repro.sim import ResilientRunner, SIPT_GEOMETRIES, ooo_system, simulate
 from repro.sim.experiment import SHARED_TRACES
+from repro.sim.warmstate import WarmStateCache
 
 APP, N, INTERVAL = "mcf", 9000, 2500
 
@@ -54,6 +55,20 @@ def test_interval_must_be_positive():
         IntervalSampler(MetricsRegistry(), 0)
     with pytest.raises(ConfigError):
         IntervalSampler(MetricsRegistry(), -5)
+
+
+@pytest.mark.parametrize("interval", [0, -5])
+def test_simulate_rejects_non_positive_interval(interval):
+    # 0 must not read as "off": the caller asked for a series and would
+    # silently get none. A primed warm-state hit must not mask it.
+    trace = SHARED_TRACES.get(APP, 2000, seed=0)
+    system = ooo_system(SIPT_GEOMETRIES["32K_2w"])
+    cache = WarmStateCache()
+    simulate(trace, system, warm_state=cache)
+    with pytest.raises(ConfigError, match="interval"):
+        simulate(trace, system, interval=interval)
+    with pytest.raises(ConfigError, match="interval"):
+        simulate(trace, system, interval=interval, warm_state=cache)
 
 
 # ---------------------------------------------------------------------

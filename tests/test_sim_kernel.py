@@ -42,6 +42,7 @@ from repro.sim import (
 )
 from repro.sim import kernel as kernel_mod
 from repro.sim.driver import (
+    RowCursor,
     _CoreContext,
     _replay_range,
     simulate_multicore,
@@ -337,9 +338,7 @@ def test_chunked_replay_cursor_matches_full_replay():
         _replay_range(chunked, start, end)
         # The parked cursor is what makes the whole pass O(n): every
         # chunk after the first resumes the previous chunk's iterator.
-        if end < chunked._len:
-            assert chunked._cursor is not None
-            assert chunked._cursor[0] == end
+        assert chunked._row_cursor.position == end
     assert fingerprint(chunked.result()) == fingerprint(full.result())
 
 
@@ -352,9 +351,32 @@ def test_cold_cursor_mid_trace_start_matches():
     _replay_range(reference, 1000, reference._len)
     split = _CoreContext(system, trace)
     _replay_range(split, 0, 1000)
-    split._cursor = None   # simulate a fresh post-restore context
+    assert split._row_cursor.position == 1000
+    # A fresh post-restore context: nothing parked, so the next range
+    # must skip forward from a new iterator.
+    split._row_cursor = RowCursor((split._gap, split._pc, split._va,
+                                   split._is_write, split._dep))
     _replay_range(split, 1000, split._len)
     assert fingerprint(split.result()) == fingerprint(reference.result())
+
+
+def test_kernel_chunked_replay_matches_full_replay():
+    """97-access chunks through the kernel equal one full-range replay."""
+    trace = CACHE.get("calculix", N)
+    system = ooo_system(SIPT_GEOMETRIES["32K_2w"])
+    full = _CoreContext(system, trace)
+    full_engine = make_engine(full, _replay_range)
+    full_engine.replay(full, 0, full._len)
+    chunked = _CoreContext(system, trace)
+    engine = make_engine(chunked, _replay_range)
+    for start in range(0, chunked._len, 97):
+        end = min(start + 97, chunked._len)
+        engine.replay(chunked, start, end)
+        assert engine._row_cursor.position == end
+    assert engine._fallback is False and full_engine._fallback is False
+    assert chunked.state_dict() == full.state_dict()
+    full.completed_once = chunked.completed_once = True
+    assert fingerprint(chunked.result()) == fingerprint(full.result())
 
 
 # ---------------------------------------------------------------------
