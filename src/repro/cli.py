@@ -225,7 +225,7 @@ def _suite_cell(app: str, base_system, sipt_system, condition,
     """One suite row as a picklable task (module-level for ``--jobs``).
 
     Traces come from the process-local shared cache (``cache=None``),
-    so the same function serves both the serial runner path and pool
+    so the same function serves both the serial executor and pool
     workers; the simulations are seeded, so the rows are identical.
     The SIPT run checkpoints (and auto-resumes) when asked; the VIPT
     baseline is shared warm-up work and stays uncheckpointed, like

@@ -36,11 +36,9 @@ from .executors import (
     CellOutcome,
     CellTask,
     Executor,
-    ExecutorStats,
     RetryPolicy,
     SerialExecutor,
     SupervisedPoolExecutor,
-    executor_for,
 )
 from .faults import FaultInjector, FaultSpec, WorkerCrash, parse_fault
 from .resilience import ResilientRunner, RunnerStats, load_journal
@@ -57,13 +55,11 @@ __all__ = [
     "CellOutcome",
     "CellTask",
     "Executor",
-    "ExecutorStats",
     "FaultInjector",
     "FaultSpec",
     "ResilientRunner",
     "SerialExecutor",
     "SupervisedPoolExecutor",
-    "executor_for",
     "RetryPolicy",
     "RunnerStats",
     "WorkerCrash",

@@ -1,27 +1,27 @@
-"""Pluggable cell executors: serial, supervised pool, and the seam for
-multi-node backends.
+"""Cell executors: the one cell lifecycle, run serially or on a
+supervised process pool.
 
-:class:`~repro.sim.resilience.ResilientRunner` used to drive a one-shot
-``concurrent.futures.ProcessPoolExecutor`` directly: a single worker
-death raised ``BrokenProcessPool`` out of *every* pending future, so the
-whole remaining grid degraded to error rows with no distinction between
-the cell that killed the worker and innocent in-flight bystanders. This
-module extracts the execution strategy behind an interface and makes
-the pool strategy supervised:
+Every grid :class:`~repro.sim.resilience.ResilientRunner` executes goes
+through an executor, whatever its ``jobs`` count, and every executor
+runs each cell through :func:`_execute_cell` — the only
+retry/timeout/degrade loop in the package. The runner only ever sees
+:class:`CellOutcome` records and turns each into one row, one journal
+record and one stats update.
 
 * :class:`Executor` — the interface: ``run(tasks)`` yields one
-  :class:`CellOutcome` per :class:`CellTask`, in completion order.
-  This is the seam a future multi-node backend plugs into; the runner
-  only ever sees outcomes.
-* :class:`SerialExecutor` — runs each cell in-process through the same
-  retry/timeout lifecycle pool workers use. It is also the graceful
+  :class:`CellOutcome` per :class:`CellTask`.
+* :class:`SerialExecutor` — runs each cell in-process, in the order
+  given, yielding after every cell (``jobs == 1`` grids). It also
+  carries the parent-only parts of the lifecycle: attempt-level fault
+  injection and the injectable backoff sleep. It is the graceful
   degradation target when the supervised pool exhausts its restart
   budget.
 * :class:`SupervisedPoolExecutor` — a process pool that **survives
-  worker death**. Each dispatched cell writes a *marker file* at entry
-  and removes it on completion; when the pool breaks, unfinished cells
-  whose marker is present were mid-execution (suspects — at most one
-  per worker), and cells with no marker never started (innocents). The
+  worker death** (``jobs > 1``). Each dispatched cell writes a *marker
+  file* at entry and removes it on completion; when the pool breaks,
+  unfinished cells whose marker is present were mid-execution
+  (suspects — at most one per worker), and cells with no marker never
+  started (innocents). The
   supervisor rebuilds the pool, re-runs each suspect **solo** so a
   second death attributes unambiguously to one cell, requeues the
   innocents without consuming their retry budget, and quarantines any
@@ -59,6 +59,7 @@ from collections import deque
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, \
     as_completed
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, \
     Sequence, Tuple
@@ -92,14 +93,11 @@ class RetryPolicy:
 def call_with_timeout(fn: Callable[[], Dict[str, Any]],
                       key: Dict[str, Any],
                       timeout_s: Optional[float],
-                      name: str = "cell",
                       heartbeat: Optional[Path] = None) -> Dict[str, Any]:
     """Run ``fn`` with an optional deadline; raises :class:`CellTimeout`.
 
     The cell runs in a daemon worker thread; on expiry the thread is
     abandoned (it cannot be killed) and the caller degrades the cell.
-    Used by the serial runner in the parent process and by pool workers
-    in parallel mode, so both enforce the same per-cell deadline.
 
     With a ``heartbeat`` path (written by the checkpointed replay loop
     after every chunk), the deadline is a *watchdog*: it measures time
@@ -119,7 +117,7 @@ def call_with_timeout(fn: Callable[[], Dict[str, Any]],
         except BaseException as exc:  # noqa: BLE001 — re-raised below
             box["exc"] = exc
 
-    worker = threading.Thread(target=target, daemon=True, name=name)
+    worker = threading.Thread(target=target, daemon=True, name="cell")
     worker.start()
     if heartbeat is None:
         worker.join(timeout_s)
@@ -154,47 +152,63 @@ def _execute_cell(fn: Callable[[], Dict[str, Any]],
                   timeout_s: Optional[float],
                   retry: RetryPolicy,
                   data_specs: Tuple = (),
-                  heartbeat: Optional[Path] = None) -> Tuple[str, Any, int]:
-    """One cell's full retry/timeout lifecycle, inside a pool worker.
+                  heartbeat: Optional[Path] = None,
+                  before: Optional[Callable[[int], None]] = None,
+                  sleep: Callable[[float], None] = time.sleep
+                  ) -> Tuple[str, Any, int, Optional[BaseException]]:
+    """One cell's full retry/timeout lifecycle, in whichever process
+    runs it.
 
-    Returns a picklable ``(status, payload, retries)`` triple: payload
-    is the raw row dict on success, or the formatted error string on
-    failure. The parent turns it into the same row a serial
-    :meth:`ResilientRunner.run_cell` would have produced.
+    Returns ``(status, payload, retries, error)``: payload is the raw
+    row dict on success, or the formatted error string on failure;
+    ``error`` is the final attempt's exception (``None`` on success).
+    Exceptions do not cross the pool boundary — :func:`_worker_cell`
+    drops ``error`` and ships the first three fields.
 
     ``data_specs`` are data-level fault specs targeting this cell; they
-    are armed (re-armed on every retry attempt) in this worker process
-    and consumed inside ``simulate``. The armed channel is cleared
-    afterwards either way, so a cell that never consumed its faults
-    cannot leak them into the next cell this worker runs.
+    are armed (re-armed on every retry attempt) before the attempt and
+    consumed inside ``simulate``. ``before(attempt)`` is the in-process
+    pre-attempt hook (:class:`SerialExecutor`'s attempt-level fault
+    injection); it runs inside the timed region, so an injected stall
+    exercises the deadline like a real hung backend. The armed channel
+    is cleared after every attempt, so a fault the attempt never
+    consumed cannot leak into the next cell this process runs.
+    ``sleep`` waits out the retry backoff.
     """
     attempt = 0
     retries = 0
     while True:
+        def attempt_fn(attempt=attempt):
+            if before is not None:
+                before(attempt)
+            return fn()
         try:
-            if data_specs:
-                arm_data_specs(data_specs)
+            arm_data_specs(data_specs)
             try:
-                row = call_with_timeout(fn, key, timeout_s,
+                row = call_with_timeout(attempt_fn, key, timeout_s,
                                         heartbeat=heartbeat)
             finally:
-                if data_specs:
-                    clear_armed()
+                clear_armed()
             if not isinstance(row, dict):
                 raise TypeError(
                     f"cell returned {type(row).__name__}, expected dict")
-            return STATUS_OK, row, retries
+            return STATUS_OK, row, retries, None
         except TransientError as exc:
             if attempt < retry.max_retries:
                 attempt += 1
                 retries += 1
-                time.sleep(retry.delay(attempt))
+                sleep(retry.delay(attempt))
                 continue
-            return STATUS_ERROR, f"{type(exc).__name__}: {exc}", retries
+            return STATUS_ERROR, _describe(exc), retries, exc
         except CellTimeout as exc:
-            return STATUS_TIMEOUT, f"{type(exc).__name__}: {exc}", retries
+            return STATUS_TIMEOUT, _describe(exc), retries, exc
         except Exception as exc:  # noqa: BLE001 — degrade unknowns too
-            return STATUS_ERROR, f"{type(exc).__name__}: {exc}", retries
+            return STATUS_ERROR, _describe(exc), retries, exc
+
+
+def _describe(exc: BaseException) -> str:
+    """The ``error`` column of a failed cell's row."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _worker_cell(fn: Callable[[], Dict[str, Any]],
@@ -218,14 +232,15 @@ def _worker_cell(fn: Callable[[], Dict[str, Any]],
         Path(marker).write_text(str(os.getpid()))
     if kill:
         os.kill(os.getpid(), signal.SIGKILL)
-    outcome = _execute_cell(fn, key, timeout_s, retry, data_specs,
-                            heartbeat)
+    status, payload, retries, _ = _execute_cell(fn, key, timeout_s,
+                                                retry, data_specs,
+                                                heartbeat)
     if marker is not None:
         try:
             Path(marker).unlink()
         except OSError:  # pragma: no cover - best-effort cleanup
             pass
-    return outcome
+    return status, payload, retries
 
 
 @dataclass(frozen=True)
@@ -252,6 +267,8 @@ class CellOutcome:
     """What happened to one task: ``status`` is one of the STATUS_*
     constants, ``payload`` the row dict (ok) or error string, and
     ``retries`` the transient-retry count consumed inside the cell.
+    ``error`` is the failing attempt's exception when the cell ran
+    in-process (``None`` for pool outcomes and successes).
     """
 
     index: int
@@ -259,13 +276,13 @@ class CellOutcome:
     status: str
     payload: Any
     retries: int = 0
+    error: Optional[BaseException] = None
 
 
 @dataclass
 class ExecutorStats:
     """Supervision tallies, merged into the runner's stats after a run."""
 
-    dispatches: int = 0
     worker_restarts: int = 0
     rescheduled: int = 0
     crashed: int = 0
@@ -281,8 +298,7 @@ class Executor(ABC):
     semantics: the contract is only that every task
     produces exactly one outcome and that deterministic cells produce
     identical payloads whichever executor ran them — that is what keeps
-    sweep CSVs byte-identical across serial, pool, and (eventually)
-    multi-node backends.
+    sweep CSVs byte-identical between serial and pool runs.
     """
 
     def __init__(self):
@@ -297,31 +313,44 @@ class Executor(ABC):
 
 
 class SerialExecutor(Executor):
-    """Run every cell in-process, through the pool-worker lifecycle.
+    """Run every cell in-process, in the order given.
 
-    Used directly for interface parity with the pool path, and as the
-    degradation target when :class:`SupervisedPoolExecutor` exhausts
-    its worker-restart budget — the remainder of a chaotic grid is
-    slower serially, but it completes. ``kill_plan`` entries are
+    The executor of ``jobs == 1`` grids, and the degradation target
+    when :class:`SupervisedPoolExecutor` exhausts its worker-restart
+    budget — the remainder of a chaotic grid is slower serially, but it
+    completes. ``run`` yields after each cell, so a caller that
+    journals every outcome has it on disk before the next cell starts.
+
+    ``on_attempt(ordinal, key, attempt)`` is the attempt-level fault
+    hook (:meth:`~repro.sim.faults.FaultInjector.on_attempt`), called
+    before every attempt inside the timed region; ``sleep`` waits out
+    the retry backoff. Both exist only in-process, which is why
+    attempt-level faults are serial-only. ``kill_plan`` entries are
     deliberately ignored here: the modelled worker process does not
     exist, and honoring a SIGKILL in-process would take down the
     parent (journal and all) instead of one cell.
     """
 
     def __init__(self, timeout_s: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None):
+                 retry: Optional[RetryPolicy] = None,
+                 on_attempt: Optional[Callable[[int, Dict[str, Any], int],
+                                               None]] = None,
+                 sleep: Callable[[float], None] = time.sleep):
         super().__init__()
         self.timeout_s = timeout_s
         self.retry = retry or RetryPolicy()
+        self.on_attempt = on_attempt
+        self.sleep = sleep
 
     def run(self, tasks: Sequence[CellTask]) -> Iterator[CellOutcome]:
         for task in tasks:
-            self.stats.dispatches += 1
-            status, payload, retries = _execute_cell(
+            before = (None if self.on_attempt is None
+                      else partial(self.on_attempt, task.ordinal, task.key))
+            status, payload, retries, error = _execute_cell(
                 task.fn, task.key, self.timeout_s, self.retry,
-                task.data_specs, task.heartbeat)
+                task.data_specs, task.heartbeat, before, self.sleep)
             yield CellOutcome(task.index, task.key, status, payload,
-                              retries)
+                              retries, error)
 
 
 class SupervisedPoolExecutor(Executor):
@@ -330,11 +359,11 @@ class SupervisedPoolExecutor(Executor):
     Parameters
     ----------
     jobs:
-        Worker-process count (must be >= 2; ``jobs == 1`` grids take
-        the runner's serial path, which has no worker to lose).
+        Worker-process count (must be >= 2; ``jobs == 1`` grids run on
+        :class:`SerialExecutor`, which has no worker to lose).
     timeout_s / retry:
         Per-cell deadline and transient-retry policy, enforced inside
-        each worker exactly like the serial path.
+        each worker by the same lifecycle :class:`SerialExecutor` runs.
     max_worker_restarts:
         Pool rebuilds allowed before degrading the remainder of the
         grid to serial in-process execution. ``None`` means
@@ -371,7 +400,7 @@ class SupervisedPoolExecutor(Executor):
         if jobs < 2:
             raise ConfigError(
                 f"SupervisedPoolExecutor needs jobs >= 2, got {jobs}; "
-                "use SerialExecutor (or the runner's jobs=1 path)")
+                "use SerialExecutor")
         if max_cell_crashes < 1:
             raise ConfigError("max_cell_crashes must be >= 1, got "
                               f"{max_cell_crashes}")
@@ -439,7 +468,6 @@ class SupervisedPoolExecutor(Executor):
                 marker_dir: Path, dispatches: Dict[int, int]):
         dispatch = dispatches.get(task.index, 0)
         dispatches[task.index] = dispatch + 1
-        self.stats.dispatches += 1
         marker = marker_dir / f"cell-{task.index}"
         return pool.submit(
             _worker_cell, task.fn, task.key, self.timeout_s, self.retry,
@@ -501,9 +529,8 @@ class SupervisedPoolExecutor(Executor):
                         continue
                     except Exception as exc:  # noqa: BLE001 — e.g. an
                         # unpicklable row; degrade just this cell.
-                        status = STATUS_ERROR
-                        payload = f"{type(exc).__name__}: {exc}"
-                        retries = 0
+                        status, payload, retries = (STATUS_ERROR,
+                                                    _describe(exc), 0)
                     finished.add(task.index)
                     self._clear_marker(marker_dir, task)
                     yield CellOutcome(task.index, task.key, status,
@@ -558,11 +585,8 @@ class SupervisedPoolExecutor(Executor):
         :class:`SerialExecutor`), trading speed for completion.
         """
         self.stats.fell_back_serial = True
-        serial = SerialExecutor(timeout_s=self.timeout_s,
-                                retry=self.retry)
-        for outcome in serial.run(remainder):
-            self.stats.dispatches += 1
-            yield outcome
+        yield from SerialExecutor(timeout_s=self.timeout_s,
+                                  retry=self.retry).run(remainder)
 
     @staticmethod
     def _clear_marker(marker_dir: Path, task: CellTask) -> None:
@@ -570,24 +594,3 @@ class SupervisedPoolExecutor(Executor):
             (marker_dir / f"cell-{task.index}").unlink()
         except OSError:
             pass
-
-
-def executor_for(jobs: int,
-                 timeout_s: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 max_worker_restarts: Optional[int] = None,
-                 max_cell_crashes: int = 2,
-                 kill_plan: Optional[Dict[int, int]] = None) -> Executor:
-    """The default executor for a worker count: serial for 1, else a
-    supervised pool. This is the single construction point the runner
-    uses — swapping in a future multi-node backend means extending this
-    factory, not the runner.
-    """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return SerialExecutor(timeout_s=timeout_s, retry=retry)
-    return SupervisedPoolExecutor(
-        jobs, timeout_s=timeout_s, retry=retry,
-        max_worker_restarts=max_worker_restarts,
-        max_cell_crashes=max_cell_crashes, kill_plan=kill_plan)

@@ -15,16 +15,18 @@ row. :class:`ResilientRunner` executes grids cell-by-cell instead:
   pointed at that journal (``resume_from``) replays the recorded rows
   instead of recomputing them — an interrupted sweep continues from
   exactly the cells it was missing;
-* with ``jobs > 1``, :meth:`ResilientRunner.run_cells` fans independent
-  cells out to a :class:`~repro.sim.executors.SupervisedPoolExecutor`
-  (see :mod:`repro.sim.executors`): worker death costs one cell, not
-  the sweep — the supervisor rebuilds the pool, reschedules innocent
-  in-flight bystanders without consuming their retry budget, and
-  quarantines a cell that keeps killing its workers with a
-  ``status="crashed"`` row. Retries and the per-cell timeout run
-  *inside* each worker; journaling, resume and stats stay in the
-  parent, and rows come back in submission order, so the resulting CSV
-  is byte-identical to a serial run.
+* every batch runs on an executor (see :mod:`repro.sim.executors`):
+  ``jobs == 1`` on a :class:`~repro.sim.executors.SerialExecutor`,
+  in-process and in grid order; ``jobs > 1`` on a
+  :class:`~repro.sim.executors.SupervisedPoolExecutor`, where worker
+  death costs one cell, not the sweep — the supervisor rebuilds the
+  pool, reschedules innocent in-flight bystanders without consuming
+  their retry budget, and quarantines a cell that keeps killing its
+  workers with a ``status="crashed"`` row. Both run the same per-cell
+  retry/timeout lifecycle; journaling, resume and stats stay in this
+  process on one outcome-to-row path, and rows come back in
+  submission order, so the resulting CSV is byte-identical whichever
+  executor ran the grid.
 
 Journal format (one JSON object per line)::
 
@@ -47,7 +49,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import ioutil
-from ..errors import CellTimeout, ConfigError, ReproError, TransientError
+from ..errors import ConfigError
 from .checkpoint import (
     checkpoint_path_for,
     heartbeat_path,
@@ -55,14 +57,12 @@ from .checkpoint import (
 )
 from .executors import (
     STATUS_CRASHED,
-    STATUS_ERROR,
     STATUS_OK,
     STATUS_TIMEOUT,
     CellTask,
-    Executor,
     RetryPolicy,
+    SerialExecutor,
     SupervisedPoolExecutor,
-    call_with_timeout,
 )
 
 #: Keys the runner adds to every row it returns.
@@ -191,16 +191,16 @@ class ResilientRunner:
         the runner abandons the thread (daemonized) and degrades the
         cell to a ``timeout`` row. ``None`` disables the deadline.
     retry:
-        :class:`RetryPolicy` for :class:`TransientError`.
+        :class:`RetryPolicy` for :class:`~repro.errors.TransientError`.
     faults:
-        Optional fault injector (see :mod:`repro.sim.faults`); its
+        Optional fault injector (see :mod:`repro.sim.faults`). Its
+        data-level specs (``corrupt_trace``/``poison_predictor``) travel
+        with each cell by ordinal, so they work in every mode. Its
         ``on_attempt(ordinal, key, attempt)`` hook runs before every
-        execution attempt. Attempt-level faults (crash/transient/stall)
-        fire in this parent process and therefore require serial
-        execution (``jobs=1``); campaigns of only *data-level* faults
-        (``corrupt_trace``/``poison_predictor``) are shipped to workers
-        by ordinal and are ``jobs > 1``-safe (the injector's ``fired``
-        log stays empty in that mode — firing happens in the workers).
+        in-process attempt, so attempt-level faults
+        (crash/transient/stall) require serial execution (``jobs=1``);
+        under ``jobs > 1`` the injector's ``fired`` log stays empty —
+        firing happens in the workers.
     checkpoint_dir:
         Directory holding per-cell mid-simulation checkpoints (written
         by cells that pass ``checkpoint_every`` through to
@@ -208,7 +208,8 @@ class ResilientRunner:
         file exists degrades to ``status="resumable"`` instead of
         ``error``/``timeout`` — rerunning the grid resumes it from the
         snapshot; (b) the per-cell timeout becomes a progress watchdog
-        over the cell's heartbeat file (see :func:`call_with_timeout`).
+        over the cell's heartbeat file (see
+        :func:`~repro.sim.executors.call_with_timeout`).
     sleep:
         Injection point for the backoff sleep (tests pass a recorder).
         Serial-mode only: pool workers always use ``time.sleep``.
@@ -226,10 +227,6 @@ class ResilientRunner:
     max_cell_crashes:
         Times one cell may be executing when its worker dies before it
         is quarantined with a ``status="crashed"`` row (default 2).
-    executor:
-        A pre-built :class:`~repro.sim.executors.Executor` to run
-        parallel batches on, overriding the default supervised pool —
-        the seam alternative backends (e.g. multi-node) plug into.
     """
 
     def __init__(self, journal: Optional[Union[str, Path]] = None,
@@ -241,14 +238,12 @@ class ResilientRunner:
                  jobs: int = 1,
                  checkpoint_dir: Optional[Union[str, Path]] = None,
                  max_worker_restarts: Optional[int] = None,
-                 max_cell_crashes: int = 2,
-                 executor: Optional[Executor] = None):
+                 max_cell_crashes: int = 2):
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self._check_fault_mode(faults, jobs)
         self.max_worker_restarts = max_worker_restarts
         self.max_cell_crashes = max_cell_crashes
-        self.executor = executor
         self.journal_path = Path(journal) if journal else None
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir \
             else None
@@ -386,72 +381,21 @@ class ResilientRunner:
         return heartbeat_path(checkpoint_path_for(self.checkpoint_dir,
                                                   key))
 
-    def _call_with_timeout(self, fn: Callable[[], Dict[str, Any]],
-                           key: Dict[str, Any]) -> Dict[str, Any]:
-        return call_with_timeout(fn, key, self.timeout_s,
-                                 name=f"cell-{self._ordinal}",
-                                 heartbeat=self._heartbeat_for(key))
-
     def run_cell(self, key: Dict[str, Any],
                  fn: Callable[[], Dict[str, Any]],
                  degrade: bool = True) -> Dict[str, Any]:
-        """Execute one cell; returns its row.
+        """Execute one cell in-process; returns its row.
 
         On success the row gains ``status="ok"``/``error=""``. With
         ``degrade=True`` (the default) a failure returns
         ``{**key, "status": ..., "error": ...}`` instead of raising; with
-        ``degrade=False`` the final exception propagates (single-cell
-        commands want the typed error, not a row). A cell recorded as
-        ``ok`` in the resume journal returns its journaled row verbatim
-        without re-executing; error/timeout records re-execute.
+        ``degrade=False`` the final attempt's exception propagates
+        (single-cell commands want the typed error, not a row). A cell
+        recorded as ``ok`` in the resume journal returns its journaled
+        row verbatim without re-executing; error/timeout records
+        re-execute.
         """
-        self.stats.total += 1
-        cid = cell_id(key)
-        record = self._completed.get(cid)
-        if record is not None and record.get("status") == STATUS_OK:
-            # Only successful rows are trusted on resume; error/timeout
-            # cells re-execute (resuming IS the retry for those).
-            self.stats.resumed += 1
-            self.stats.ok += 1
-            if self.journal_path and self.journal_path != self._resume_path:
-                self._record(key, STATUS_OK, record.get("row", {}))
-            return dict(record.get("row", {}))
-
-        ordinal = self._ordinal
-        self._ordinal += 1
-        attempt = 0
-        while True:
-            try:
-                if self.faults is not None:
-                    # Injected inside the timed region so stall faults
-                    # exercise the deadline like a real hung backend.
-                    def attempt_fn(attempt=attempt):
-                        self.faults.on_attempt(ordinal, key, attempt)
-                        return fn()
-                else:
-                    attempt_fn = fn
-                row = self._call_with_timeout(attempt_fn, key)
-                if not isinstance(row, dict):
-                    raise TypeError(
-                        f"cell {cid} returned {type(row).__name__}, "
-                        "expected dict")
-                row = {**row, "status": STATUS_OK, "error": ""}
-                self.stats.ok += 1
-                self._record(key, STATUS_OK, row)
-                return row
-            except TransientError as exc:
-                if attempt < self.retry.max_retries:
-                    attempt += 1
-                    self.stats.retries += 1
-                    self._sleep(self.retry.delay(attempt))
-                    continue
-                return self._degrade(key, STATUS_ERROR, exc, degrade)
-            except CellTimeout as exc:
-                return self._degrade(key, STATUS_TIMEOUT, exc, degrade)
-            except ReproError as exc:
-                return self._degrade(key, STATUS_ERROR, exc, degrade)
-            except Exception as exc:  # noqa: BLE001 — degrade unknowns too
-                return self._degrade(key, STATUS_ERROR, exc, degrade)
+        return self._run([(key, fn)], 1, None, degrade)[0]
 
     def run_cells(self, cells: Sequence[Tuple[Dict[str, Any],
                                               Callable[[], Dict[str, Any]]]],
@@ -460,18 +404,20 @@ class ResilientRunner:
                   ) -> List[Dict[str, Any]]:
         """Execute a batch of ``(key, fn)`` cells; rows in input order.
 
-        With ``jobs == 1`` this is exactly ``[run_cell(k, f) for ...]``.
-        With ``jobs > 1`` the non-resumed cells run on an
-        :class:`~repro.sim.executors.Executor` — by default a
+        Cells recorded ``ok`` in the resume journal return their
+        journaled rows; the rest run on an executor — a
+        :class:`~repro.sim.executors.SerialExecutor` for ``jobs == 1``
+        (in-process, in grid order), else a
         :class:`~repro.sim.executors.SupervisedPoolExecutor`, which
-        survives worker death (see :mod:`repro.sim.executors`) — while
-        resume checks, journaling, and stats stay in this process. Each
-        worker handles its own retries and per-cell timeout. Journal
-        records are appended in completion order — resume semantics
-        only depend on the set of records, not their order — and the
-        returned list preserves the input order, so downstream CSVs are
-        byte-identical to a serial run. Cell callables must be
-        picklable in parallel mode.
+        survives worker death (see :mod:`repro.sim.executors`). Either
+        way each cell handles its own retries and timeout, while resume
+        checks, journaling and stats stay in this process. Journal
+        records are appended as outcomes arrive — serially, each before
+        the next cell starts; under a pool in completion order (resume
+        semantics only depend on the set of records) — and the returned
+        list preserves the input order, so downstream CSVs are
+        byte-identical in either mode. Cell callables must be picklable
+        in parallel mode.
 
         ``first`` is an optional predicate on a cell key: under
         ``jobs > 1`` the cells it selects are dispatched before the
@@ -483,17 +429,25 @@ class ResilientRunner:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self._check_fault_mode(self.faults, jobs)
-        if jobs == 1:
-            return [self.run_cell(key, fn) for key, fn in cells]
+        return self._run(cells, jobs, first, True)
+
+    def _run(self, cells: Sequence[Tuple[Dict[str, Any],
+                                         Callable[[], Dict[str, Any]]]],
+             jobs: int, first: Optional[Callable[[Dict[str, Any]], bool]],
+             degrade: bool) -> List[Dict[str, Any]]:
+        """The one cell lifecycle: resume replay, execution, and the
+        outcome-to-row path (journal record + stats) for both modes."""
         rows: List[Optional[Dict[str, Any]]] = [None] * len(cells)
         # The task ordinal counts non-resumed cells in submission
-        # order, exactly like run_cell's, so fault specs target the
-        # same cell whichever mode executes the grid.
+        # order, so fault specs target the same cell whichever mode
+        # executes the grid.
         pending: List[CellTask] = []
         for index, (key, fn) in enumerate(cells):
             self.stats.total += 1
             record = self._completed.get(cell_id(key))
             if record is not None and record.get("status") == STATUS_OK:
+                # Only successful rows are trusted on resume; error /
+                # timeout cells re-execute (resuming IS their retry).
                 self.stats.resumed += 1
                 self.stats.ok += 1
                 if (self.journal_path
@@ -507,44 +461,50 @@ class ResilientRunner:
                                 if self.faults is not None else ()),
                     heartbeat=self._heartbeat_for(key)))
                 self._ordinal += 1
-        if first is not None:
-            pending.sort(key=lambda task: not first(task.key))
-        if pending:
-            executor = self.executor
-            if executor is None:
-                executor = SupervisedPoolExecutor(
-                    jobs, timeout_s=self.timeout_s, retry=self.retry,
-                    max_worker_restarts=self.max_worker_restarts,
-                    max_cell_crashes=self.max_cell_crashes,
-                    kill_plan=(self.faults.kill_plan()
-                               if self.faults is not None else None))
-            try:
-                for outcome in executor.run(pending):
-                    key = outcome.key
-                    self.stats.retries += outcome.retries
-                    if outcome.status == STATUS_OK:
-                        row = {**outcome.payload, "status": STATUS_OK,
-                               "error": ""}
-                        self.stats.ok += 1
-                        status = STATUS_OK
-                    else:
-                        status = self._classify_failure(key,
-                                                        outcome.status)
-                        row = {**key, "status": status,
-                               "error": outcome.payload}
-                        if outcome.status == STATUS_CRASHED:
-                            # Quarantined cells never reach the normal
-                            # completion path; drop their watchdog file
-                            # now rather than leaking it.
-                            self._drop_heartbeat(key)
-                    self._record(key, status, row)
-                    rows[outcome.index] = row
-            finally:
-                stats = executor.stats
-                self.stats.worker_restarts += stats.worker_restarts
-                self.stats.rescheduled += stats.rescheduled
-                if self.executor is None:
-                    executor.close()
+        if not pending:
+            return rows  # type: ignore[return-value]
+        if jobs == 1:
+            executor = SerialExecutor(
+                timeout_s=self.timeout_s, retry=self.retry,
+                on_attempt=(self.faults.on_attempt
+                            if self.faults is not None else None),
+                sleep=self._sleep)
+        else:
+            if first is not None:
+                pending.sort(key=lambda task: not first(task.key))
+            executor = SupervisedPoolExecutor(
+                jobs, timeout_s=self.timeout_s, retry=self.retry,
+                max_worker_restarts=self.max_worker_restarts,
+                max_cell_crashes=self.max_cell_crashes,
+                kill_plan=(self.faults.kill_plan()
+                           if self.faults is not None else None))
+        try:
+            for outcome in executor.run(pending):
+                key = outcome.key
+                self.stats.retries += outcome.retries
+                if outcome.status == STATUS_OK:
+                    row = {**outcome.payload, "status": STATUS_OK,
+                           "error": ""}
+                    self.stats.ok += 1
+                    status = STATUS_OK
+                else:
+                    status = self._classify_failure(key, outcome.status)
+                    if not degrade:
+                        self.close()
+                        raise outcome.error
+                    row = {**key, "status": status,
+                           "error": outcome.payload}
+                    if outcome.status == STATUS_CRASHED:
+                        # Quarantined cells never reach the normal
+                        # completion path; drop their watchdog file
+                        # now rather than leaking it.
+                        self._drop_heartbeat(key)
+                self._record(key, status, row)
+                rows[outcome.index] = row
+        finally:
+            self.stats.worker_restarts += executor.stats.worker_restarts
+            self.stats.rescheduled += executor.stats.rescheduled
+            executor.close()
         return rows  # type: ignore[return-value]
 
     def _drop_heartbeat(self, key: Dict[str, Any]) -> None:
@@ -576,14 +536,3 @@ class ResilientRunner:
         else:
             self.stats.errors += 1
         return status
-
-    def _degrade(self, key: Dict[str, Any], status: str,
-                 exc: BaseException, degrade: bool) -> Dict[str, Any]:
-        status = self._classify_failure(key, status)
-        if not degrade:
-            self.close()
-            raise exc
-        row = {**key, "status": status,
-               "error": f"{type(exc).__name__}: {exc}"}
-        self._record(key, status, row)
-        return row

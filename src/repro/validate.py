@@ -50,15 +50,18 @@ class Check:
     passed: bool
 
 
-def _suite_cell(app: str, system_factory, cfg, condition, n: int) -> dict:
-    """One scorecard cell as a picklable worker task (``jobs > 1``).
+def _suite_cell(app: str, system_factory, cfg, condition, n: int,
+                traces: Optional[TraceCache]) -> dict:
+    """One scorecard cell as a picklable task.
 
     ``system_factory`` is a module-level function (``ooo_system`` /
     ``inorder_system``) and ``cfg`` a frozen L1Config, so the partial
-    pickles cleanly; traces come from the worker's shared cache.
+    pickles cleanly. ``traces`` is the scorecard's trace cache when the
+    cell runs in-process, and ``None`` (the worker's shared cache) when
+    it is shipped to a pool worker.
     """
     result = run_app(app, system_factory(cfg), condition=condition,
-                     n_accesses=n, cache=None)
+                     n_accesses=n, cache=traces)
     return {"ipc": result.ipc,
             "energy_total": result.energy.total,
             "fast_fraction": result.fast_fraction}
@@ -74,30 +77,15 @@ def _suite(label: str, system_factory, cfg, traces, n, runner,
     process pool; the simulations are seeded, so the metrics are
     identical to a serial run.
     """
-    keys = [{"grid": "scorecard", "suite": label, "app": app,
-             "condition": condition.value, "accesses": n}
-            for app in SCORECARD_APPS]
-    if runner.jobs > 1:
-        cells = [(key, partial(_suite_cell, app, system_factory, cfg,
-                               condition, n))
-                 for key, app in zip(keys, SCORECARD_APPS)]
-        rows = runner.run_cells(cells)
-        return {app: row for app, row in zip(SCORECARD_APPS, rows)
-                if row.get("status") == "ok"}
-    out: Dict[str, dict] = {}
-    for key, app in zip(keys, SCORECARD_APPS):
-
-        def cell(app=app, condition=condition):
-            result = run_app(app, system_factory(cfg), condition=condition,
-                             n_accesses=n, cache=traces)
-            return {"ipc": result.ipc,
-                    "energy_total": result.energy.total,
-                    "fast_fraction": result.fast_fraction}
-
-        row = runner.run_cell(key, cell)
-        if row.get("status") == "ok":
-            out[app] = row
-    return out
+    cache = traces if runner.jobs == 1 else None
+    cells = [({"grid": "scorecard", "suite": label, "app": app,
+               "condition": condition.value, "accesses": n},
+              partial(_suite_cell, app, system_factory, cfg, condition, n,
+                      cache))
+             for app in SCORECARD_APPS]
+    rows = runner.run_cells(cells)
+    return {app: row for app, row in zip(SCORECARD_APPS, rows)
+            if row.get("status") == "ok"}
 
 
 def run_scorecard(n_accesses: int = 12_000,

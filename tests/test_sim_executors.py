@@ -23,7 +23,6 @@ from repro.sim.executors import (
     RetryPolicy,
     SerialExecutor,
     SupervisedPoolExecutor,
-    executor_for,
 )
 
 
@@ -48,7 +47,7 @@ def _rows(executor, tasks):
 
 
 # ---------------------------------------------------------------------
-# Construction / factory
+# Construction
 # ---------------------------------------------------------------------
 
 def test_supervised_pool_needs_two_workers():
@@ -58,13 +57,6 @@ def test_supervised_pool_needs_two_workers():
         SupervisedPoolExecutor(2, max_cell_crashes=0)
     with pytest.raises(ConfigError):
         SupervisedPoolExecutor(2, max_worker_restarts=-1)
-
-
-def test_executor_for_picks_by_job_count():
-    assert isinstance(executor_for(1), SerialExecutor)
-    assert isinstance(executor_for(2), SupervisedPoolExecutor)
-    with pytest.raises(ConfigError):
-        executor_for(0)
 
 
 def test_restart_budget_defaults_to_three_per_worker():

@@ -215,3 +215,25 @@ def test_midsim_crash_fires_inside_simulate():
     with pytest.raises(WorkerCrash):
         simulate(trace, ooo_system(BASELINE_L1))
     clear_armed()
+
+
+def test_unconsumed_data_fault_does_not_leak_into_next_cell():
+    """A data fault armed for a cell whose attempt fails before the
+    simulation consumes it must not fire in the next cell."""
+    from repro.sim.executors import RetryPolicy
+    from repro.sim.faults import any_armed, clear_armed
+    from repro.sim.resilience import ResilientRunner
+    clear_armed()
+    trace = CACHE.get("povray", 1200)
+
+    def cell():
+        return {"ipc": simulate(trace, ooo_system(BASELINE_L1)).ipc}
+
+    runner = ResilientRunner(
+        faults=FaultInjector(["corrupt_trace@0", "transient@0x5"]),
+        retry=RetryPolicy(max_retries=0))
+    rows = runner.run_cells([({"cell": 0}, cell), ({"cell": 1}, cell)])
+    assert rows[0]["status"] == "error"
+    assert "TransientError" in rows[0]["error"]
+    assert rows[1]["status"] == "ok", rows[1]["error"]
+    assert not any_armed()

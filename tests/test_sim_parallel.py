@@ -100,6 +100,25 @@ def test_parallel_rows_match_serial_in_submission_order():
     assert [row["x"] for row in parallel] == list(range(8))
 
 
+def test_serial_and_parallel_agree_on_rows_journal_and_stats(tmp_path):
+    """Both modes run one lifecycle: an erroring cell included, they
+    return the same rows, journal the same records (in completion
+    order under the pool) and tally the same stats."""
+    cells = [({"x": x}, partial(_ok_cell, x)) for x in range(5)]
+    cells.insert(2, ({"app": "a"}, _boom_cell))
+    results = []
+    for jobs in (1, 2):
+        journal = tmp_path / f"grid-j{jobs}.jsonl"
+        with ResilientRunner(journal=journal, jobs=jobs) as runner:
+            rows = runner.run_cells(cells)
+        stats = runner.stats
+        results.append((rows, sorted(journal.read_text().splitlines()),
+                        (stats.total, stats.ok, stats.errors)))
+    assert results[1] == results[0]
+    assert results[0][2] == (6, 5, 1)
+    assert results[0][0][2]["status"] == "error"
+
+
 def test_parallel_failing_cell_degrades_not_raises():
     cells = [({"app": "ok"}, partial(_ok_cell, 1)),
              ({"app": "a"}, _boom_cell),
