@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -55,11 +54,10 @@ from .sim import (
     WorkerCrash,
     checkpoint_path_for,
     harmonic_mean,
-    inorder_system,
-    ooo_system,
     run_app,
     run_sweep,
     simulate_multicore,
+    system_for,
     to_csv,
 )
 from .sim.sweep import SweepSpec
@@ -76,15 +74,9 @@ EXIT_DEGRADED = 2
 #: Exit code for a simulated worker crash (fault injection).
 EXIT_CRASHED = 3
 
-
-def _system(args, l1):
-    if args.core == "inorder":
-        return inorder_system(l1)
-    system = ooo_system(l1)
-    if args.core == "ooo-detailed":
-        system = replace(system, core="ooo-detailed",
-                         name=system.name.replace("ooo/", "ooo-detailed/"))
-    return system
+#: The config name of ``suite``'s VIPT reference. It is not a
+#: :data:`GEOMETRIES` name, so no ``--geometry`` can collide with it.
+SUITE_BASELINE = "vipt-baseline"
 
 
 def _l1(args, geometry: Optional[str] = None):
@@ -196,15 +188,15 @@ def cmd_run(args) -> int:
 
     def cell():
         holder["result"] = run_app(
-            args.app, _system(args, l1), condition=condition,
+            args.app, system_for(args.core, l1), condition=condition,
             n_accesses=args.accesses, cache=traces,
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=ckpt if args.checkpoint_every else None,
             resume_checkpoint=ckpt, engine=args.engine)
         if args.compare_baseline:
             holder["baseline"] = run_app(
-                args.app, _system(args, BASELINE_L1), condition=condition,
-                n_accesses=args.accesses, cache=traces,
+                args.app, system_for(args.core, BASELINE_L1),
+                condition=condition, n_accesses=args.accesses, cache=traces,
                 engine=args.engine)
         result = holder["result"]
         return {"app": args.app, "ipc": result.ipc}
@@ -218,63 +210,34 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _suite_cell(app: str, base_system, sipt_system, condition,
-                n_accesses: int, checkpoint_every: Optional[int] = None,
-                checkpoint_path: Optional[Path] = None,
-                engine: str = "python") -> dict:
-    """One suite row as a picklable task (module-level for ``--jobs``).
-
-    Traces come from the process-local shared cache (``cache=None``),
-    so the same function serves both the serial executor and pool
-    workers; the simulations are seeded, so the rows are identical.
-    The SIPT run checkpoints (and auto-resumes) when asked; the VIPT
-    baseline is shared warm-up work and stays uncheckpointed, like
-    sweep baselines.
-    """
-    base = run_app(app, base_system, condition=condition,
-                   n_accesses=n_accesses, cache=None, engine=engine)
-    result = run_app(app, sipt_system, condition=condition,
-                     n_accesses=n_accesses, cache=None,
-                     checkpoint_every=checkpoint_every,
-                     checkpoint_path=checkpoint_path,
-                     resume_checkpoint=checkpoint_path,
-                     engine=engine)
-    return {"app": app, "ipc": result.ipc,
-            "speedup": result.speedup_over(base),
-            "fast": result.fast_fraction,
-            "energy_ratio": result.energy_over(base)}
-
-
 def cmd_suite(args) -> int:
-    """`repro suite`: per-app speedup/energy table over the suite."""
+    """`repro suite`: per-app speedup/energy table over the suite.
+
+    A two-config sweep over :data:`EVALUATED_APPS`: the ``--geometry``
+    L1, normalized against the VIPT baseline. The geometry comes first,
+    so fault ordinals count its rows; only its rows are printed.
+    """
+    spec = SweepSpec(apps=list(EVALUATED_APPS),
+                     configs={args.geometry: _l1(args),
+                              SUITE_BASELINE: BASELINE_L1},
+                     cores=[args.core],
+                     conditions=[CONDITIONS[args.condition]],
+                     baseline=SUITE_BASELINE)
     runner = _runner(args)
-    condition = CONDITIONS[args.condition]
-    base_system = _system(args, BASELINE_L1)
-    sipt_system = _system(args, _l1(args))
-    if args.checkpoint_every and runner.checkpoint_dir is None:
-        raise ConfigError("--checkpoint-every needs --checkpoint-dir")
-    cells = []
-    for app in EVALUATED_APPS:
-        key = {"cmd": "suite", "app": app, "geometry": args.geometry,
-               "core": args.core, "condition": args.condition,
-               "accesses": args.accesses}
-        ckpt = (checkpoint_path_for(runner.checkpoint_dir, key)
-                if args.checkpoint_every else None)
-        cells.append((key, partial(_suite_cell, app, base_system,
-                                   sipt_system, condition, args.accesses,
-                                   args.checkpoint_every, ckpt,
-                                   args.engine)))
-    rows = runner.run_cells(cells)
+    rows = run_sweep(spec, n_accesses=args.accesses, traces=TraceCache(),
+                     runner=runner, checkpoint_every=args.checkpoint_every,
+                     engine=args.engine)
     speedups = []
     print(f"{'app':>14s} {'IPC':>7s} {'speedup':>8s} {'fast':>6s} "
           f"{'energy':>7s}")
-    for app, row in zip(EVALUATED_APPS, rows):
-        if row.get("status") != "ok":
-            print(f"{app:>14s} {'ERROR':>7s}  {row.get('error', '')}")
+    for row in rows[:len(EVALUATED_APPS)]:
+        app = row["app"]
+        if row["status"] != "ok":
+            print(f"{app:>14s} {'ERROR':>7s}  {row['error']}")
             continue
         speedups.append(row["speedup"])
         print(f"{app:>14s} {row['ipc']:>7.3f} {row['speedup']:>8.3f} "
-              f"{row['fast']:>6.2f} {row['energy_ratio']:>7.3f}")
+              f"{row['fast_fraction']:>6.2f} {row['energy_ratio']:>7.3f}")
     if speedups:
         print(f"{'hmean speedup':>14s} {'':>7s} "
               f"{harmonic_mean(speedups):>8.3f}")
@@ -371,7 +334,7 @@ def cmd_jobs(args) -> int:
     store attached, and ``result`` composes the CSV purely from store
     entries — byte-identical to a cold ``sweep`` of the same grid.
     """
-    from .sim.sweep import _system_for, grid_cells, rows_from_store
+    from .sim.sweep import grid_cells, rows_from_store
     from .store import (LeaseRenewer, job_status, list_jobs, load_job,
                         release_claims, submit_job)
     store = _store_from(args)
@@ -383,10 +346,10 @@ def cmd_jobs(args) -> int:
                 "seeds": spec.seeds, "accesses": args.accesses}
         traces = TraceCache()
         cells = []
-        for key, app, name, cfg, core, condition, seed in grid_cells(spec):
+        for key, app, name, cfg, core, condition, seed in grid_cells(
+                spec, args.accesses):
             trace = traces.get(app, args.accesses, condition, seed)
-            cells.append((key, store.digest(trace,
-                                            _system_for(core, cfg))))
+            cells.append((key, store.digest(trace, system_for(core, cfg))))
         summary = submit_job(store, grid, cells)
         print(f"job {summary['id']}: {summary['cells']} cells, "
               f"{summary['done']} already in store, "
@@ -513,9 +476,9 @@ def cmd_mix(args) -> int:
     members = get_mix(args.name)
     mix_traces = [traces.get(app, args.accesses, seed=i)
                   for i, app in enumerate(members)]
-    base = simulate_multicore(mix_traces, _system(args, BASELINE_L1),
+    base = simulate_multicore(mix_traces, system_for(args.core, BASELINE_L1),
                               engine=args.engine)
-    sipt = simulate_multicore(mix_traces, _system(args, _l1(args)),
+    sipt = simulate_multicore(mix_traces, system_for(args.core, _l1(args)),
                               engine=args.engine)
     for core, (b, s) in enumerate(zip(base, sipt)):
         print(f"core {core} {b.app:>14s}: base={b.ipc:.3f} "
@@ -634,7 +597,7 @@ def cmd_stats(args) -> int:
     if not args.app:
         raise ConfigError("stats needs --app APP to run a simulation, "
                           "or --diff A.json B.json to compare snapshots")
-    result = run_app(args.app, _system(args, _l1(args)),
+    result = run_app(args.app, system_for(args.core, _l1(args)),
                      condition=CONDITIONS[args.condition],
                      n_accesses=args.accesses, cache=TraceCache(),
                      interval=args.interval, engine=args.engine)
@@ -658,7 +621,7 @@ def cmd_trace(args) -> int:
     """`repro trace`: record and print sampled SIPT decisions."""
     from .obs import DecisionTrace
     trace = DecisionTrace(capacity=args.capacity, sample=args.sample)
-    result = run_app(args.app, _system(args, _l1(args)),
+    result = run_app(args.app, system_for(args.core, _l1(args)),
                      condition=CONDITIONS[args.condition],
                      n_accesses=args.accesses, cache=TraceCache(),
                      decision_trace=trace)
@@ -698,43 +661,21 @@ def cmd_validate(args) -> int:
     return 0 if n_pass >= required else 1
 
 
-def _designspace_cell(capacity_b: int, ways: int) -> dict:
-    """One CACTI design point as a picklable task (for ``--jobs``).
-
-    The model is analytic and deterministic, so rebuilding it per cell
-    is cheap and keeps the task self-contained for pool workers.
-    """
-    model = CactiModel()
-    base = model.latency_ns(32 * 1024, 8)
-    return {"cycles": model.latency_cycles(capacity_b, ways),
-            "ratio": model.latency_ns(capacity_b, ways) / base,
-            "nj": model.dynamic_nj(capacity_b, ways),
-            "mw": model.static_mw(capacity_b, ways)}
-
-
 def cmd_designspace(args) -> int:
     """`repro designspace`: print the CACTI latency/energy grid."""
-    runner = _runner(args)
-    points = [(capacity, ways) for capacity in (16, 32, 64, 128)
-              for ways in (2, 4, 8, 16)]
-    cells = [({"cmd": "designspace", "capacity_kib": capacity,
-               "ways": ways},
-              partial(_designspace_cell, capacity * 1024, ways))
-             for capacity, ways in points]
-    rows = runner.run_cells(cells)
+    model = CactiModel()
+    base = model.latency_ns(32 * 1024, 8)
     print(f"{'config':>12s} {'cycles':>7s} {'vs base':>8s} "
           f"{'nJ':>7s} {'mW':>7s}")
-    for (capacity, ways), row in zip(points, rows):
-        if row.get("status") != "ok":
-            print(f"{capacity:>9d}K/{ways:<2d} {'ERROR':>7s}  "
-                  f"{row.get('error', '')}")
-            continue
-        print(f"{capacity:>9d}K/{ways:<2d} "
-              f"{row['cycles']:>7d} "
-              f"{row['ratio']:>8.2f} "
-              f"{row['nj']:>7.3f} "
-              f"{row['mw']:>7.1f}")
-    return _finish(args, runner)
+    for capacity in (16, 32, 64, 128):
+        for ways in (2, 4, 8, 16):
+            size = capacity * 1024
+            print(f"{capacity:>9d}K/{ways:<2d} "
+                  f"{model.latency_cycles(size, ways):>7d} "
+                  f"{model.latency_ns(size, ways) / base:>8.2f} "
+                  f"{model.dynamic_nj(size, ways):>7.3f} "
+                  f"{model.static_mw(size, ways):>7.1f}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -939,9 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(repr) floats — byte-comparable across --engine values "
              "for the oracle-equivalence gate")
 
-    designspace_p = sub.add_parser(
-        "designspace", help="print the CACTI design space")
-    resilience(designspace_p)
+    sub.add_parser("designspace", help="print the CACTI design space")
 
     bench_p = sub.add_parser(
         "bench", help="measure simulate() throughput, emit BENCH_*.json")

@@ -11,8 +11,7 @@ This lives at the package root (rather than ``repro.sim.experiment``,
 its original home) because both the sim layer and the workload
 substrate need it and the substrate must not import the sim package —
 ``repro.sim.experiment`` imports the substrate, and the reverse edge
-would be a cycle. ``experiment._env_int`` remains as a re-export for
-existing callers and tests.
+would be a cycle.
 """
 
 from __future__ import annotations

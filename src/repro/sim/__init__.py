@@ -8,6 +8,7 @@ from .config import (
     SystemConfig,
     inorder_system,
     ooo_system,
+    system_for,
 )
 from .bench import (
     check_regression,
@@ -99,5 +100,6 @@ __all__ = [
     "simulate",
     "simulate_coherent",
     "simulate_multicore",
+    "system_for",
     "to_csv",
 ]

@@ -155,3 +155,22 @@ def inorder_system(l1: L1Config, name: Optional[str] = None,
         llc_ways=16,
         llc_latency=20,
     )
+
+
+def system_for(core: str, l1: L1Config) -> SystemConfig:
+    """The Table II system for core model ``core`` around ``l1``.
+
+    The one core-to-system builder every command and grid uses:
+    ``"inorder"`` is :func:`inorder_system`, ``"ooo"`` is
+    :func:`ooo_system`, and ``"ooo-detailed"`` is the OOO hierarchy
+    under the detailed core timing model, named
+    ``ooo-detailed/<label>`` so its results never share a name with
+    the analytic core's. Any other ``core`` raises
+    :class:`~repro.errors.ConfigError`.
+    """
+    if core == "inorder":
+        return inorder_system(l1)
+    system = ooo_system(l1)
+    if core == "ooo":
+        return system
+    return replace(system, core=core, name=f"{core}/{l1.label}")

@@ -22,15 +22,10 @@ from .driver import simulate
 from .results import SimResult
 
 
-# Re-export: the validated env-int reader moved to ``repro.envutil``
-# (the workload substrate needs it too and must not import repro.sim);
-# the old name stays importable for existing callers and tests.
-_env_int = env_int
-
 
 def default_accesses() -> int:
     """Experiment length: 50k accesses unless REPRO_ACCESSES overrides."""
-    return _env_int("REPRO_ACCESSES", 50000)
+    return env_int("REPRO_ACCESSES", 50000)
 
 
 #: Default :class:`TraceCache` capacity. A trace plus its page table
@@ -58,7 +53,7 @@ class TraceCache:
 
     def __init__(self, max_traces: Optional[int] = None):
         if max_traces is None:
-            max_traces = _env_int("REPRO_TRACE_CACHE", DEFAULT_TRACE_CAP)
+            max_traces = env_int("REPRO_TRACE_CACHE", DEFAULT_TRACE_CAP)
         if max_traces < 1:
             raise ConfigError(
                 f"max_traces must be >= 1, got {max_traces}")

@@ -1,7 +1,7 @@
 """Resilient grid execution: journaling, resume, retries, timeouts.
 
 Sweeps and scorecards are grids of independent cells — one (app, config,
-core, condition, seed) simulation each. Before this module, the first
+core, condition, seed, accesses) simulation each. Before this module, the first
 failing cell raised out of the grid loop and discarded every completed
 row. :class:`ResilientRunner` executes grids cell-by-cell instead:
 
@@ -35,8 +35,10 @@ Journal format (one JSON object per line)::
 ``key`` is canonicalized with sorted keys, so the same cell always maps
 to the same journal entry; on load, the last record for a key wins.
 The runner is simulation-agnostic: a *cell* is any callable returning a
-JSON-serializable dict, so the sweep, the scorecard, and the CLI's
-suite/designspace tables all share it.
+JSON-serializable dict. In the package, :meth:`ResilientRunner.run_cells`
+has one caller, :func:`~repro.sim.sweep.run_sweep` — the grid behind
+``sweep``, ``suite`` and ``validate`` — and
+:meth:`ResilientRunner.run_cell` one, ``repro run``.
 """
 
 from __future__ import annotations

@@ -43,9 +43,9 @@ from ..workloads.substrate import TraceHandle, TraceStore, attach
 from ..workloads.trace import MemoryCondition
 from . import faults as _faults
 from .checkpoint import checkpoint_path_for
-from .config import L1Config, SystemConfig, inorder_system, ooo_system
+from .config import L1Config, SystemConfig, system_for
 from .executors import STATUS_OK
-from .experiment import TraceCache, run_app
+from .experiment import TraceCache, default_accesses, run_app
 from .resilience import ResilientRunner
 from .warmstate import WarmStateCache, warm_cache_for
 
@@ -135,24 +135,20 @@ class SweepSpec:
             raise ConfigError(f"baseline {self.baseline!r} not in configs")
 
 
-def _system_for(core: str, l1: L1Config) -> SystemConfig:
-    if core == "inorder":
-        return inorder_system(l1)
-    system = ooo_system(l1)
-    if core == "ooo-detailed":
-        from dataclasses import replace
-        system = replace(system, core="ooo-detailed")
-    return system
-
-
 def cell_key(app: str, config: str, core: str,
-             condition: MemoryCondition, seed: int) -> Dict[str, object]:
-    """The journal identity of one sweep cell."""
+             condition: MemoryCondition, seed: int,
+             accesses: int) -> Dict[str, object]:
+    """The journal identity of one sweep cell.
+
+    ``accesses`` is the trace length: a journal written at one length
+    must not resume a grid run at another.
+    """
     return {"app": app, "config": config, "core": core,
-            "condition": condition.value, "seed": seed}
+            "condition": condition.value, "seed": seed,
+            "accesses": accesses}
 
 
-def grid_cells(spec: SweepSpec):
+def grid_cells(spec: SweepSpec, n_accesses: Optional[int] = None):
     """Iterate the grid's cells in CSV row order.
 
     Yields ``(key, app, name, cfg, core, condition, seed)`` per cell —
@@ -161,13 +157,16 @@ def grid_cells(spec: SweepSpec):
     (:func:`_stored_rows`), and the jobs front end. Sharing the
     iterator is what keeps a store-composed CSV byte-identical to an
     executed one, and is the order fault ordinals count in.
+    ``n_accesses`` defaults like :class:`TraceCache` does.
     """
+    accesses = n_accesses or default_accesses()
     for core in spec.cores:
         for condition in spec.conditions:
             for seed in spec.seeds:
                 for name, cfg in spec.configs.items():
                     for app in spec.apps:
-                        yield (cell_key(app, name, core, condition, seed),
+                        yield (cell_key(app, name, core, condition, seed,
+                                        accesses),
                                app, name, cfg, core, condition, seed)
 
 
@@ -197,12 +196,6 @@ def _result_row(app: str, name: str, core: str,
     }
 
 
-def _store_meta(key: Dict[str, object],
-                n_accesses: int) -> Dict[str, object]:
-    """Human-readable provenance sidecar for a stored cell result."""
-    return {**key, "n_accesses": n_accesses}
-
-
 def _simulated(app: str, name: str, cfg: L1Config, core: str,
                condition: MemoryCondition, seed: int,
                n_accesses: Optional[int], trace, warm: WarmStateCache,
@@ -221,7 +214,7 @@ def _simulated(app: str, name: str, cfg: L1Config, core: str,
     A run with data faults armed publishes nothing: its divergence is
     intentional and must never serve another cell.
     """
-    system = _system_for(core, cfg)
+    system = system_for(core, cfg)
     faulted = _faults.any_armed()
     result = run_app(app, system, condition=condition,
                      n_accesses=n_accesses, seed=seed,
@@ -232,8 +225,7 @@ def _simulated(app: str, name: str, cfg: L1Config, core: str,
     if not faulted and (baseline or not exchange):
         warm.store_result(
             trace, system, result,
-            meta=_store_meta(cell_key(app, name, core, condition, seed),
-                             len(trace)),
+            meta=cell_key(app, name, core, condition, seed, len(trace)),
             remember=baseline)
     return result
 
@@ -248,7 +240,7 @@ def _baseline_result(app: str, name: str, cfg: L1Config, core: str,
     faulted run is *supposed* to diverge.
     """
     if not _faults.any_armed():
-        result = warm.fetch_result(trace, _system_for(core, cfg))
+        result = warm.fetch_result(trace, system_for(core, cfg))
         if result is not None:
             return result
     return _simulated(app, name, cfg, core, condition, seed, n_accesses,
@@ -316,7 +308,8 @@ def _stored_rows(spec: SweepSpec, n_accesses: Optional[int],
     base_memo: Dict[tuple, Optional[object]] = {}
     base_cfg = (spec.configs[spec.baseline]
                 if spec.baseline is not None else None)
-    for key, app, name, cfg, core, condition, seed in grid_cells(spec):
+    for key, app, name, cfg, core, condition, seed in grid_cells(
+            spec, n_accesses):
         if skip(key):
             yield key, None
             continue
@@ -326,13 +319,13 @@ def _stored_rows(spec: SweepSpec, n_accesses: Optional[int],
             group = (app, core, condition.value, seed)
             if group not in base_memo:
                 base_memo[group] = store.fetch_result(
-                    store.digest(trace, _system_for(core, base_cfg)))
+                    store.digest(trace, system_for(core, base_cfg)))
             base = base_memo[group]
             if base is None:
                 yield key, None
                 continue
         result = store.fetch_result(
-            store.digest(trace, _system_for(core, cfg)))
+            store.digest(trace, system_for(core, cfg)))
         if result is None:
             yield key, None
             continue
@@ -439,7 +432,7 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
                 hits[i] = runner.record_hit(key, row)
     baseline = ((spec.baseline, spec.configs[spec.baseline])
                 if spec.baseline is not None else None)
-    cells = [cell for i, cell in enumerate(grid_cells(spec))
+    cells = [cell for i, cell in enumerate(grid_cells(spec, n_accesses))
              if i not in hits]
     handles: Dict[tuple, TraceHandle] = {}
     tier = store
@@ -482,9 +475,11 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
         if exchange is not None:
             shutil.rmtree(exchange, ignore_errors=True)
         warm_cache_for(None)  # unbind this sweep's store tier
-    blank = {name: "" for name in FIELDS}
-    return [{**blank, **(hits[i] if i in hits else next(executed))}
-            for i in range(len(hits) + len(tasks))]
+    rows = (hits[i] if i in hits else next(executed)
+            for i in range(len(hits) + len(tasks)))
+    # A degraded row carries its cell key, whose ``accesses`` is not a
+    # CSV column; every row is cut to FIELDS.
+    return [{name: row.get(name, "") for name in FIELDS} for row in rows]
 
 
 def rows_from_store(spec: SweepSpec, n_accesses: Optional[int],

@@ -25,9 +25,9 @@ Reuse rules (enforced by the driver, documented in
 * keyed by (trace content fingerprint, full system config, access
   count) — the store digest covers the same three, so a snapshot or
   result can never warm a different trace or config. The full config,
-  not its generated name, because names alias: ``ooo`` and
-  ``ooo-detailed`` systems share one, as do L1 configs that differ
-  only in fields the label omits (way prediction, line size);
+  not its generated name, because names alias: L1 configs that
+  differ only in fields the label omits (way prediction, line size)
+  share one;
 * disabled for runs with interval sampling, decision tracing, mid-sim
   checkpointing, or armed fault injection — those paths have
   side-channel outputs or intentional divergence a restored result

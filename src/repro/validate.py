@@ -6,19 +6,20 @@ as a pass/fail line — a five-minute smoke check that the reproduction
 still behaves like the paper after a change, without running the full
 benchmark suite.
 
-The scorecard grid (suite x app) executes through
-:class:`~repro.sim.resilience.ResilientRunner`: each cell journals the
-scalar metrics the claims need (IPC, total energy, fast fraction), so
-an interrupted ``validate`` resumes from its journal, and a failing
-cell drops its app from the claim arithmetic instead of aborting the
-whole scorecard (the degradation is reported as an extra failing
-check).
+The scorecard grid is nine (config x core x condition) suites over
+:data:`SCORECARD_APPS`, run as three :func:`~repro.sim.sweep.run_sweep`
+grids on one :class:`~repro.sim.resilience.ResilientRunner`: each cell
+journals its sweep row, whose ``ipc``, ``energy_j`` and
+``fast_fraction`` are what the claims need, so an interrupted
+``validate`` resumes from its journal, ``--jobs N`` shares one trace
+generation through the sweep's substrate, and a failing cell drops its
+app from the claim arithmetic instead of aborting the whole scorecard
+(the degradation is reported as an extra failing check).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Dict, List, Optional
 
 from .core.indexing import IndexingScheme, SiptVariant
@@ -26,12 +27,12 @@ from .errors import SimulationError
 from .sim import (
     BASELINE_L1,
     SIPT_GEOMETRIES,
+    L1Config,
     ResilientRunner,
+    SweepSpec,
     TraceCache,
     harmonic_mean,
-    inorder_system,
-    ooo_system,
-    run_app,
+    run_sweep,
 )
 from .workloads import MemoryCondition
 
@@ -50,42 +51,22 @@ class Check:
     passed: bool
 
 
-def _suite_cell(app: str, system_factory, cfg, condition, n: int,
-                traces: Optional[TraceCache]) -> dict:
-    """One scorecard cell as a picklable task.
+def _suites(configs: Dict[str, L1Config], core: str,
+            condition: MemoryCondition, n: int, traces: TraceCache,
+            runner: ResilientRunner) -> List[Dict[str, dict]]:
+    """One sweep of ``configs`` over the scorecard apps.
 
-    ``system_factory`` is a module-level function (``ooo_system`` /
-    ``inorder_system``) and ``cfg`` a frozen L1Config, so the partial
-    pickles cleanly. ``traces`` is the scorecard's trace cache when the
-    cell runs in-process, and ``None`` (the worker's shared cache) when
-    it is shipped to a pool worker.
+    Returns one ``{app: row}`` suite per config, in ``configs`` order.
+    Failed cells are simply absent — the caller computes claims over
+    the apps every suite completed.
     """
-    result = run_app(app, system_factory(cfg), condition=condition,
-                     n_accesses=n, cache=traces)
-    return {"ipc": result.ipc,
-            "energy_total": result.energy.total,
-            "fast_fraction": result.fast_fraction}
-
-
-def _suite(label: str, system_factory, cfg, traces, n, runner,
-           condition=MemoryCondition.NORMAL) -> Dict[str, dict]:
-    """One scorecard suite as runner cells; returns {app: metrics}.
-
-    Failed cells are simply absent from the returned mapping — the
-    caller computes claims over the apps every suite completed. With a
-    ``jobs > 1`` runner the suite's apps run concurrently in the
-    process pool; the simulations are seeded, so the metrics are
-    identical to a serial run.
-    """
-    cache = traces if runner.jobs == 1 else None
-    cells = [({"grid": "scorecard", "suite": label, "app": app,
-               "condition": condition.value, "accesses": n},
-              partial(_suite_cell, app, system_factory, cfg, condition, n,
-                      cache))
-             for app in SCORECARD_APPS]
-    rows = runner.run_cells(cells)
-    return {app: row for app, row in zip(SCORECARD_APPS, rows)
-            if row.get("status") == "ok"}
+    spec = SweepSpec(apps=SCORECARD_APPS, configs=configs, cores=[core],
+                     conditions=[condition])
+    suites: Dict[str, Dict[str, dict]] = {name: {} for name in configs}
+    for row in run_sweep(spec, n_accesses=n, traces=traces, runner=runner):
+        if row["status"] == "ok":
+            suites[row["config"]][row["app"]] = row
+    return list(suites.values())
 
 
 def run_scorecard(n_accesses: int = 12_000,
@@ -103,28 +84,21 @@ def run_scorecard(n_accesses: int = 12_000,
     runner = runner or ResilientRunner()
     checks: List[Check] = []
     sipt = SIPT_GEOMETRIES["32K_2w"]
-    ideal = sipt.with_scheme(IndexingScheme.IDEAL)
-    naive = replace(sipt, variant=SiptVariant.NAIVE)
     n = n_accesses
-
-    base = _suite("base", ooo_system, BASELINE_L1, traces, n, runner)
-    sipt_r = _suite("sipt", ooo_system, sipt, traces, n, runner)
-    ideal_r = _suite("ideal", ooo_system, ideal, traces, n, runner)
-    naive_r = _suite("naive", ooo_system, naive, traces, n, runner)
-
+    ideal = sipt.with_scheme(IndexingScheme.IDEAL)
+    base, sipt_r, ideal_r, naive_r = _suites(
+        {"base": BASELINE_L1, "sipt": sipt, "ideal": ideal,
+         "naive": replace(sipt, variant=SiptVariant.NAIVE)},
+        "ooo", MemoryCondition.NORMAL, n, traces, runner)
     # In-order: capacity wins (Fig. 3).
-    cfg64 = SIPT_GEOMETRIES["64K_4w"].with_scheme(IndexingScheme.IDEAL)
-    cfg32 = sipt.with_scheme(IndexingScheme.IDEAL)
-    base_io = _suite("base-io", inorder_system, BASELINE_L1, traces, n,
-                     runner)
-    io64_r = _suite("io64", inorder_system, cfg64, traces, n, runner)
-    io32_r = _suite("io32", inorder_system, cfg32, traces, n, runner)
-
+    base_io, io64_r, io32_r = _suites(
+        {"base": BASELINE_L1,
+         "io64": SIPT_GEOMETRIES["64K_4w"].with_scheme(IndexingScheme.IDEAL),
+         "io32": ideal},
+        "inorder", MemoryCondition.NORMAL, n, traces, runner)
     # Fragmentation degrades mildly (Fig. 18).
-    frag_base = _suite("frag-base", ooo_system, BASELINE_L1, traces, n,
-                       runner, condition=MemoryCondition.FRAGMENTED)
-    frag = _suite("frag-sipt", ooo_system, sipt, traces, n, runner,
-                  condition=MemoryCondition.FRAGMENTED)
+    frag_base, frag = _suites({"base": BASELINE_L1, "sipt": sipt}, "ooo",
+                              MemoryCondition.FRAGMENTED, n, traces, runner)
 
     suites = [base, sipt_r, ideal_r, naive_r, base_io, io64_r, io32_r,
               frag_base, frag]
@@ -141,7 +115,7 @@ def run_scorecard(n_accesses: int = 12_000,
     speedup = ipc_ratio(sipt_r, base)
     ideal_speedup = ipc_ratio(ideal_r, base)
     naive_speedup = ipc_ratio(naive_r, base)
-    energy = sum(sipt_r[a]["energy_total"] / base[a]["energy_total"]
+    energy = sum(sipt_r[a]["energy_j"] / base[a]["energy_j"]
                  for a in apps) / len(apps)
 
     checks.append(Check(

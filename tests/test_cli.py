@@ -145,6 +145,14 @@ def test_suite_reports_error_rows(tmp_path, capsys):
     assert "hmean speedup" in out
 
 
+def test_suite_parallel_stdout_matches_serial(capsys):
+    argv = ["suite", "--accesses", "800"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert main([*argv, "--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+
+
 def test_designspace_through_runner(capsys):
     assert main(["designspace"]) == 0
     out = capsys.readouterr().out
@@ -257,6 +265,19 @@ def test_sweep_store_second_run_simulates_nothing(tmp_path, capsys):
     assert "2 of 2 cells from store, 0 simulated" in err
     assert "2 store hits" in err
     assert warm.read_bytes() == cold.read_bytes()
+
+
+def test_sweep_store_names_detailed_core_results_apart(tmp_path, capsys):
+    from repro.store import ResultStore
+    store = ResultStore(tmp_path / "store")
+    assert main(["sweep", "--apps", "gamess", "--geometries", "32K_2w",
+                 "--cores", "ooo,ooo-detailed", "--accesses", "800",
+                 "--out", str(tmp_path / "s.csv"),
+                 "--store", str(store.root)]) == 0
+    systems = {store.fetch_result(digest).system
+               for digest, _files in store.entries()}
+    assert systems == {"ooo/32K/2w/2c/sipt-combined",
+                       "ooo-detailed/32K/2w/2c/sipt-combined"}
 
 
 def test_sweep_store_default_root_honors_env(tmp_path, monkeypatch,

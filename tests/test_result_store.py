@@ -349,7 +349,7 @@ def test_ephemeral_store_tier_detaches_after_sweep(tmp_path):
 # ---------------------------------------------------------------------
 
 def grid_and_cells(spec, n_accesses, store):
-    from repro.sim.sweep import _system_for
+    from repro.sim import system_for
     grid = {"apps": spec.apps, "geometries": list(spec.configs),
             "baseline": spec.baseline, "cores": spec.cores,
             "conditions": [c.value for c in spec.conditions],
@@ -358,7 +358,7 @@ def grid_and_cells(spec, n_accesses, store):
     cells = []
     for key, app, name, cfg, core, condition, seed in grid_cells(spec):
         t = traces.get(app, n_accesses, condition, seed)
-        cells.append((key, store.digest(t, _system_for(core, cfg))))
+        cells.append((key, store.digest(t, system_for(core, cfg))))
     return grid, cells
 
 

@@ -11,6 +11,7 @@ from repro.sim import (
     SystemConfig,
     inorder_system,
     ooo_system,
+    system_for,
 )
 
 KiB = 1024
@@ -77,3 +78,15 @@ def test_bad_core_kind_rejected():
 def test_explicit_latency_override():
     cfg = L1Config(32 * KiB, 2, latency=1)
     assert cfg.latency == 1
+
+
+def test_system_for_names_each_core_model_apart():
+    l1 = SIPT_GEOMETRIES["32K_2w"]
+    assert system_for("ooo", l1) == ooo_system(l1)
+    assert system_for("inorder", l1) == inorder_system(l1)
+    detailed = system_for("ooo-detailed", l1)
+    assert detailed.core == "ooo-detailed"
+    assert detailed.name == "ooo-detailed/32K/2w/2c/sipt-combined"
+    assert detailed.l2_capacity == ooo_system(l1).l2_capacity
+    with pytest.raises(ValueError):
+        system_for("vliw", l1)

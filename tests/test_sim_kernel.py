@@ -47,7 +47,7 @@ from repro.sim.driver import (
     _replay_range,
     simulate_multicore,
 )
-from repro.sim.experiment import _env_int
+from repro.envutil import env_int
 from repro.sim.faults import (
     WorkerCrash,
     arm_data_specs,
@@ -393,10 +393,10 @@ def test_env_int_valid_and_default(monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", "7")
     assert TraceCache().max_traces == 7
     monkeypatch.delenv("REPRO_TRACE_CACHE")
-    assert _env_int("REPRO_TRACE_CACHE", 64) == 64
+    assert env_int("REPRO_TRACE_CACHE", 64) == 64
     monkeypatch.setenv("REPRO_ACCESSES", "12_000?!")
     with pytest.raises(ConfigError, match="REPRO_ACCESSES"):
-        _env_int("REPRO_ACCESSES", 50000)
+        env_int("REPRO_ACCESSES", 50000)
 
 
 # ---------------------------------------------------------------------

@@ -7,7 +7,8 @@ per-cell timeouts enforced inside the workers.
 
 Cell callables cross the process boundary, so every cell here is a
 module-level function (optionally via ``functools.partial``), exactly
-what the sweep/suite/designspace code paths ship to the pool.
+what ``run_sweep`` — the grid behind ``sweep``, ``suite`` and
+``validate`` — ships to the pool.
 """
 
 import json
@@ -231,10 +232,8 @@ def test_parallel_sweep_resume_after_partial_journal(tmp_path):
 
 
 def test_parallel_scorecard_suite_matches_serial():
-    from repro.validate import _suite
-    from repro.sim import TraceCache, ooo_system
-    serial = _suite("base", ooo_system, BASELINE_L1, TraceCache(), 800,
-                    ResilientRunner())
-    parallel = _suite("base", ooo_system, BASELINE_L1, TraceCache(), 800,
-                      ResilientRunner(jobs=2))
+    from repro.validate import run_scorecard
+    serial = run_scorecard(n_accesses=800, runner=ResilientRunner())
+    parallel = run_scorecard(n_accesses=800,
+                             runner=ResilientRunner(jobs=2))
     assert parallel == serial

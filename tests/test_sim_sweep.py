@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from repro.sim import BASELINE_L1, SIPT_GEOMETRIES, TraceCache
+from repro.sim import BASELINE_L1, SIPT_GEOMETRIES, ResilientRunner, TraceCache
 from repro.sim.sweep import FIELDS, SweepSpec, run_sweep, to_csv
 from repro.workloads import MemoryCondition
 
@@ -84,3 +84,18 @@ def test_csv_roundtrip(tmp_path):
     assert len(loaded) == len(rows)
     assert set(loaded[0]) == set(FIELDS)
     assert float(loaded[0]["ipc"]) > 0
+
+
+def test_journal_does_not_resume_a_different_access_count(tmp_path):
+    """A cell journaled at one trace length is a different cell at
+    another: resuming must simulate it, not replay the short row."""
+    spec = SweepSpec(apps=["mcf"], configs={"base": BASELINE_L1})
+    journal = tmp_path / "sweep.jsonl"
+    with ResilientRunner(journal=journal) as runner:
+        run_sweep(spec, n_accesses=1000, traces=CACHE, runner=runner)
+    with ResilientRunner(journal=journal, resume_from=journal) as runner:
+        resumed = run_sweep(spec, n_accesses=3000, traces=CACHE,
+                            runner=runner)
+        assert runner.stats.resumed == 0
+    fresh = run_sweep(spec, n_accesses=3000, traces=CACHE)
+    assert resumed == fresh

@@ -11,11 +11,12 @@ import json
 
 import pytest
 
-from repro.sim import BASELINE_L1, SIPT_GEOMETRIES, inorder_system, simulate
+from repro.sim import (BASELINE_L1, SIPT_GEOMETRIES, inorder_system, simulate,
+                       system_for)
 from repro.sim.experiment import TraceCache, run_app
 from repro.sim.resilience import ResilientRunner
-from repro.sim.sweep import (FIELDS, SweepSpec, _result_row, _system_for,
-                             grid_cells, run_sweep)
+from repro.sim.sweep import (FIELDS, SweepSpec, _result_row, grid_cells,
+                             run_sweep)
 from repro.sim.warmstate import WarmStateCache, warm_cache_for
 from repro.store import ResultStore
 from repro.workloads import generate_trace
@@ -46,7 +47,7 @@ def reference_rows(spec, n_accesses):
     rows = []
     for _key, app, name, cfg, core, condition, seed in grid_cells(spec):
         def run(l1):
-            return run_app(app, _system_for(core, l1), condition=condition,
+            return run_app(app, system_for(core, l1), condition=condition,
                            n_accesses=n_accesses, seed=seed, cache=traces,
                            warm_state=None)
         base = (run(spec.configs[spec.baseline])
