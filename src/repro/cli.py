@@ -60,7 +60,8 @@ from .sim import (
     system_for,
     to_csv,
 )
-from .sim.sweep import SweepSpec
+from .sim.experiment import trace_recipe
+from .sim.sweep import SweepSpec, cell_key
 from .timing.cacti import CactiModel
 from .workloads import EVALUATED_APPS, MIX_NAMES, MemoryCondition, get_mix
 
@@ -77,6 +78,13 @@ EXIT_CRASHED = 3
 #: The config name of ``suite``'s VIPT reference. It is not a
 #: :data:`GEOMETRIES` name, so no ``--geometry`` can collide with it.
 SUITE_BASELINE = "vipt-baseline"
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of every ``--accesses``: a positive integer."""
+    if int(text) <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return int(text)
 
 
 def _l1(args, geometry: Optional[str] = None):
@@ -172,10 +180,10 @@ def cmd_run(args) -> int:
     traces = TraceCache()
     runner = _runner(args)
     condition = CONDITIONS[args.condition]
-    l1 = _l1(args)
+    system = system_for(args.core, _l1(args))
     holder: Dict[str, object] = {}
-    key = {"cmd": "run", "app": args.app, "geometry": args.geometry,
-           "core": args.core, "condition": args.condition}
+    key = cell_key(args.geometry,
+                   trace_recipe(args.app, args.accesses, condition), system)
     if args.checkpoint_every and not (args.checkpoint_dir
                                       or args.resume_checkpoint):
         raise ConfigError("--checkpoint-every needs --checkpoint-dir "
@@ -188,7 +196,7 @@ def cmd_run(args) -> int:
 
     def cell():
         holder["result"] = run_app(
-            args.app, system_for(args.core, l1), condition=condition,
+            args.app, system, condition=condition,
             n_accesses=args.accesses, cache=traces,
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=ckpt if args.checkpoint_every else None,
@@ -344,12 +352,9 @@ def cmd_jobs(args) -> int:
                 "baseline": spec.baseline, "cores": spec.cores,
                 "conditions": [c.value for c in spec.conditions],
                 "seeds": spec.seeds, "accesses": args.accesses}
-        traces = TraceCache()
-        cells = []
-        for key, app, name, cfg, core, condition, seed in grid_cells(
-                spec, args.accesses):
-            trace = traces.get(app, args.accesses, condition, seed)
-            cells.append((key, store.digest(trace, system_for(core, cfg))))
+        cells = [(key, key["cell"])
+                 for key, _recipe, _system in grid_cells(spec,
+                                                        args.accesses)]
         summary = submit_job(store, grid, cells)
         print(f"job {summary['id']}: {summary['cells']} cells, "
               f"{summary['done']} already in store, "
@@ -700,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[v.value for v in SiptVariant])
         p.add_argument("--condition", default="normal",
                        choices=sorted(CONDITIONS))
-        p.add_argument("--accesses", type=int, default=30_000)
+        p.add_argument("--accesses", type=_positive_int, default=30_000)
         p.add_argument("--way-prediction", action="store_true")
 
     def engine(p):
@@ -800,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cores", default="ooo")
         p.add_argument("--conditions", default="normal")
         p.add_argument("--seeds", default="0")
-        p.add_argument("--accesses", type=int, default=30_000)
+        p.add_argument("--accesses", type=_positive_int, default=30_000)
 
     def store_flag(p, default=None):
         """--store: content-addressed result-store participation.
@@ -904,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--variant", default=None,
                          choices=[v.value for v in SiptVariant])
     bench_p.add_argument("--way-prediction", action="store_true")
-    bench_p.add_argument("--accesses", type=int, default=None,
+    bench_p.add_argument("--accesses", type=_positive_int, default=None,
                          help="accesses per trace (default: 20000 for "
                               "hotpath, 8000 for sweep)")
     bench_p.add_argument("--interval", type=int, default=None, metavar="N",
@@ -934,18 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="dump/diff metrics snapshots, export interval CSV")
     stats_p.add_argument("--app", default=None,
                          help="benchmark to simulate (see `list`)")
-    stats_p.add_argument("--geometry", default="32K_2w",
-                         choices=sorted(GEOMETRIES))
-    stats_p.add_argument("--core", default="ooo",
-                         choices=("ooo", "ooo-detailed", "inorder"))
-    stats_p.add_argument("--scheme", default=None,
-                         choices=[s.value for s in IndexingScheme])
-    stats_p.add_argument("--variant", default=None,
-                         choices=[v.value for v in SiptVariant])
-    stats_p.add_argument("--condition", default="normal",
-                         choices=sorted(CONDITIONS))
-    stats_p.add_argument("--accesses", type=int, default=30_000)
-    stats_p.add_argument("--way-prediction", action="store_true")
+    common(stats_p)
     stats_p.add_argument("--filter", default=None, metavar="PREFIX",
                          help="only print metrics under this namespace "
                               "prefix (e.g. sipt., predictor.)")
@@ -983,7 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate_p = sub.add_parser(
         "validate", help="score the paper's headline claims (smoke check)")
-    validate_p.add_argument("--accesses", type=int, default=12_000)
+    validate_p.add_argument("--accesses", type=_positive_int, default=12_000)
     validate_p.add_argument(
         "--min-pass", type=int, default=None, metavar="N",
         help="succeed when at least N claims pass (default: all)")

@@ -10,9 +10,9 @@ producing a byte-identical :class:`~repro.sim.results.SimResult`.
 
 Snapshot format — two JSON lines, header then body::
 
-    {"schema": "repro-ckpt-1", "digest": "<sha256 hex over line 2>"}
+    {"schema": "repro-ckpt-2", "digest": "<sha256 hex over line 2>"}
     {"position": 30000,                 # next access to replay
-     "system": "sipt-32K-2w-ooo",       # SystemConfig.name
+     "cell": "<sha256 hex>",            # the cell identity
      "trace": {"app": ..., "condition": ..., "n_accesses": ...,
                "fingerprint": "<crc32 hex over the trace columns>"},
      "sampler": {...} | null,           # interval-sampler state
@@ -26,8 +26,12 @@ without re-serializing on load — the write path runs between replay
 chunks, and its cost is what the ≤5 % checkpoint-overhead budget in
 the perf bench is spent on. Any torn, truncated, or hand-edited
 snapshot fails closed with :class:`~repro.errors.CheckpointError`.
-The trace identity and system name inside the body stop a snapshot
-from one cell silently warming a different cell's run.
+The cell identity inside the body
+(:func:`repro.store.resultstore.cell_identity`: trace recipe plus full
+system config) stops a snapshot from one cell resuming or warming a
+different cell's run; the trace fingerprint beside it detects a trace
+whose content is not what its recipe names (a corrupted or substituted
+trace).
 
 Writes are crash-safe (temp file + ``os.replace`` via
 :mod:`repro.ioutil`): a kill during a checkpoint leaves the previous
@@ -62,7 +66,7 @@ from ..ioutil import atomic_write_text
 from ..stateutil import canonical_json as _canonical
 
 #: Schema tag stamped into (and verified on) every snapshot.
-SCHEMA = "repro-ckpt-1"
+SCHEMA = "repro-ckpt-2"
 
 #: Characters allowed in the human-readable part of checkpoint names.
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
@@ -77,7 +81,7 @@ def trace_identity(trace) -> Dict[str, Any]:
     (app, condition, length) but differ in content do not cross-resume.
     The CRC comes from the trace's derived-column store
     (:func:`repro.workloads.substrate.columns_for`), which memoizes it
-    per trace instance: periodic checkpoints, warm-state keys, and
+    per trace instance: periodic checkpoints, warm snapshots, and
     substrate publication of the same trace all fingerprint once.
     """
     from ..workloads.substrate import columns_for
@@ -93,7 +97,7 @@ def compute_digest(body_text: str) -> str:
 
 
 def write_checkpoint(path: Union[str, Path], *, state: Dict[str, Any],
-                     position: int, trace, system_name: str,
+                     position: int, trace, cell: str,
                      sampler_state: Optional[Dict[str, Any]] = None,
                      identity: Optional[Dict[str, Any]] = None,
                      fsync: bool = True) -> Path:
@@ -119,14 +123,14 @@ def write_checkpoint(path: Union[str, Path], *, state: Dict[str, Any],
     run.
     """
     text = render_checkpoint(state=state, position=position, trace=trace,
-                             system_name=system_name,
+                             cell=cell,
                              sampler_state=sampler_state,
                              identity=identity)
     return atomic_write_text(Path(path), text, fsync=fsync)
 
 
 def render_checkpoint(*, state: Dict[str, Any], position: int, trace,
-                      system_name: str,
+                      cell: str,
                       sampler_state: Optional[Dict[str, Any]] = None,
                       identity: Optional[Dict[str, Any]] = None) -> str:
     """Serialize one snapshot to its two-line file text.
@@ -140,7 +144,7 @@ def render_checkpoint(*, state: Dict[str, Any], position: int, trace,
     """
     body_text = json.dumps(
         {"position": position,
-         "system": system_name,
+         "cell": cell,
          "trace": identity if identity is not None
          else trace_identity(trace),
          "sampler": sampler_state,
@@ -152,14 +156,14 @@ def render_checkpoint(*, state: Dict[str, Any], position: int, trace,
 
 
 def load_checkpoint(path: Union[str, Path], *, trace=None,
-                    system_name: Optional[str] = None
+                    cell: Optional[str] = None
                     ) -> Optional[Dict[str, Any]]:
     """Load and verify a snapshot; returns ``None`` if ``path`` is absent.
 
     Verification is strict and fails closed: schema tag, content
     digest (over the body line's raw bytes), and — when
-    ``trace``/``system_name`` are given — the trace identity and
-    system name must all match, else
+    ``trace``/``cell`` are given — the trace identity and the cell
+    identity must all match, else
     :class:`~repro.errors.CheckpointError` is raised: *content* that
     fails verification could silently resume the wrong simulation, so
     it can never degrade. A missing file is *not* an error (the caller
@@ -168,7 +172,7 @@ def load_checkpoint(path: Union[str, Path], *, trace=None,
     after the choke point's transient retries) degrades the same way,
     with one stderr warning: starting fresh only costs recomputation.
 
-    Returns the parsed body dict (``position``, ``system``, ``trace``,
+    Returns the parsed body dict (``position``, ``cell``, ``trace``,
     ``sampler``, ``state``).
     """
     path = Path(path)
@@ -189,12 +193,11 @@ def load_checkpoint(path: Union[str, Path], *, trace=None,
         # content still fails closed in verification.
         return None
     return verify_checkpoint_text(text, source=str(path), trace=trace,
-                                  system_name=system_name)
+                                  cell=cell)
 
 
 def verify_checkpoint_text(text: str, *, source: str = "checkpoint",
-                           trace=None,
-                           system_name: Optional[str] = None
+                           trace=None, cell: Optional[str] = None
                            ) -> Dict[str, Any]:
     """Verify and parse snapshot *text* (the two-line file format).
 
@@ -235,11 +238,11 @@ def verify_checkpoint_text(text: str, *, source: str = "checkpoint",
             raise CheckpointError(
                 f"checkpoint {source} belongs to trace "
                 f"{payload.get('trace')}, this run replays {want}")
-    if system_name is not None and payload.get("system") != system_name:
+    if cell is not None and payload.get("cell") != cell:
         raise CheckpointError(
-            f"checkpoint {source} was taken on system "
-            f"{payload.get('system')!r}, this run simulates "
-            f"{system_name!r}")
+            f"checkpoint {source} was taken on cell "
+            f"{str(payload.get('cell'))[:12]}..., this run simulates "
+            f"cell {cell[:12]}... (another trace recipe or system)")
     position = payload.get("position")
     if not isinstance(position, int) or position < 0:
         raise CheckpointError(

@@ -55,6 +55,7 @@ from ..workloads.substrate import columns_for
 from ..workloads.trace import Trace
 from . import faults as _faults
 from ..ioutil import atomic_write_text
+from ..store.resultstore import cell_identity
 from .checkpoint import (
     heartbeat_path,
     load_checkpoint,
@@ -269,7 +270,7 @@ class _CoreContext:
     def state_dict(self) -> dict:
         """JSON-safe snapshot of every stateful component in this core.
 
-        Composed into the "repro-ckpt-1" checkpoint payload by
+        Composed into the "repro-ckpt-2" checkpoint payload by
         :func:`_replay_chunked`; the registry is *not* serialized —
         it holds references to the live stats objects, which are
         restored in place, so a post-load ``registry.snapshot()`` reads
@@ -442,9 +443,12 @@ def _replay_chunked(ctx: _CoreContext, replay: Callable,
                                   l1_data_energy_factor=ctx.energy_factor)
     n = ctx._len
     start = 0
+    cell = None
+    if resume_checkpoint is not None or checkpoint_path is not None:
+        cell = cell_identity(ctx.trace.recipe, ctx.system)
     if resume_checkpoint is not None:
         payload = load_checkpoint(resume_checkpoint, trace=ctx.trace,
-                                  system_name=ctx.system.name)
+                                  cell=cell)
         if payload is not None:
             has_sampler = payload.get("sampler") is not None
             if (sampler is not None) != has_sampler:
@@ -528,7 +532,7 @@ def _replay_chunked(ctx: _CoreContext, replay: Callable,
                     identity = trace_identity(ctx.trace)
                 text = render_checkpoint(
                     state=ctx.state_dict(), position=end,
-                    trace=ctx.trace, system_name=ctx.system.name,
+                    trace=ctx.trace, cell=cell,
                     sampler_state=(sampler.state_dict()
                                    if sampler is not None else None),
                     identity=identity)
@@ -598,7 +602,7 @@ def simulate(trace: Trace, system: SystemConfig,
         checkpointing (the ring buffer is not part of the snapshot).
     checkpoint_every:
         When set (with ``checkpoint_path``), write a crash-safe
-        "repro-ckpt-1" snapshot every that many accesses; a killed run
+        "repro-ckpt-2" snapshot every that many accesses; a killed run
         restarted with ``resume_checkpoint`` replays only the remaining
         accesses and returns a byte-identical result. ``None`` adds
         zero work to the replay loop — the default path is untouched.

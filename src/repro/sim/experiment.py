@@ -11,12 +11,13 @@ be scaled with the ``REPRO_ACCESSES`` environment variable.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from ..envutil import env_int
 from ..errors import ConfigError, ReproError
 from ..workloads.spec import EVALUATED_APPS
-from ..workloads.trace import MemoryCondition, Trace, generate_trace
+from ..workloads.trace import (MemoryCondition, Trace, TraceRecipe,
+                               generate_trace)
 from .config import SystemConfig
 from .driver import simulate
 from .results import SimResult
@@ -26,6 +27,16 @@ from .results import SimResult
 def default_accesses() -> int:
     """Experiment length: 50k accesses unless REPRO_ACCESSES overrides."""
     return env_int("REPRO_ACCESSES", 50000)
+
+
+def trace_recipe(app: str, n_accesses: Optional[int] = None,
+                 condition: MemoryCondition = MemoryCondition.NORMAL,
+                 seed: int = 0) -> TraceRecipe:
+    """The recipe of the trace :meth:`TraceCache.get` returns; only a
+    ``None`` length resolves to :func:`default_accesses`."""
+    if n_accesses is None:
+        n_accesses = default_accesses()
+    return TraceRecipe(app, n_accesses, condition, seed)
 
 
 #: Default :class:`TraceCache` capacity. A trace plus its page table
@@ -58,22 +69,24 @@ class TraceCache:
             raise ConfigError(
                 f"max_traces must be >= 1, got {max_traces}")
         self.max_traces = max_traces
-        self._traces: "OrderedDict[Tuple, Trace]" = OrderedDict()
+        self._traces: "OrderedDict[TraceRecipe, Trace]" = OrderedDict()
 
     def get(self, app: str, n_accesses: Optional[int] = None,
             condition: MemoryCondition = MemoryCondition.NORMAL,
             seed: int = 0) -> Trace:
         """Return the memoized trace for this cell, generating once."""
-        n = n_accesses or default_accesses()
-        key = (app, n, condition, seed)
-        trace = self._traces.get(key)
+        return self.of(trace_recipe(app, n_accesses, condition, seed))
+
+    def of(self, recipe: TraceRecipe) -> Trace:
+        """Return the memoized trace ``recipe`` names, generating once."""
+        trace = self._traces.get(recipe)
         if trace is None:
-            trace = generate_trace(app, n, condition=condition, seed=seed)
-            self._traces[key] = trace
+            trace = generate_trace(*recipe[:4])
+            self._traces[recipe] = trace
             while len(self._traces) > self.max_traces:
                 self._traces.popitem(last=False)
         else:
-            self._traces.move_to_end(key)
+            self._traces.move_to_end(recipe)
         return trace
 
     def __len__(self) -> int:

@@ -289,7 +289,8 @@ def corrupt_trace(trace, n_records: int = 16, seed: int = 0):
 
     Alternating records get a negative VA and a VA beyond the 48-bit
     canonical range — both rejected by ``Trace.validate()``. The record
-    choice is deterministic in ``seed``.
+    choice is deterministic in ``seed``. The copy has no recipe: it no
+    longer is the trace its recipe names.
     """
     from dataclasses import replace
     rng = np.random.default_rng(seed)
@@ -300,7 +301,7 @@ def corrupt_trace(trace, n_records: int = 16, seed: int = 0):
     va = trace.va.copy()
     for i, idx in enumerate(sorted(int(p) for p in picks)):
         va[idx] = -1 - idx if i % 2 == 0 else (1 << 52) + idx
-    return replace(trace, va=va)
+    return replace(trace, va=va, recipe=None)
 
 
 def poison_predictor(predictor, n_entries: int = 0, seed: int = 0) -> int:

@@ -38,14 +38,14 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigError, ReproError
 from ..ioutil import atomic_write_text
-from ..store.resultstore import ResultStore
+from ..store.resultstore import ResultStore, cell_identity
 from ..workloads.substrate import TraceHandle, TraceStore, attach
-from ..workloads.trace import MemoryCondition
+from ..workloads.trace import MemoryCondition, TraceRecipe
 from . import faults as _faults
 from .checkpoint import checkpoint_path_for
 from .config import L1Config, SystemConfig, system_for
 from .executors import STATUS_OK
-from .experiment import TraceCache, default_accesses, run_app
+from .experiment import TraceCache, run_app, trace_recipe
 from .resilience import ResilientRunner
 from .warmstate import WarmStateCache, warm_cache_for
 
@@ -135,44 +135,44 @@ class SweepSpec:
             raise ConfigError(f"baseline {self.baseline!r} not in configs")
 
 
-def cell_key(app: str, config: str, core: str,
-             condition: MemoryCondition, seed: int,
-             accesses: int) -> Dict[str, object]:
-    """The journal identity of one sweep cell.
+def cell_key(name: str, recipe: TraceRecipe,
+             system: SystemConfig) -> Dict[str, object]:
+    """The journal key of one grid cell.
 
-    ``accesses`` is the trace length: a journal written at one length
-    must not resume a grid run at another.
+    ``cell`` is :func:`~repro.store.resultstore.cell_identity` (trace
+    recipe plus full system config), so a journal or checkpoint written
+    for any other L1 knob, access count or generator version never
+    resumes this cell. The readable coordinates keep two config names
+    over one config apart and fill a degraded row's CSV columns.
     """
-    return {"app": app, "config": config, "core": core,
-            "condition": condition.value, "seed": seed,
-            "accesses": accesses}
+    return {"app": recipe.app, "config": name, "core": system.core,
+            "condition": recipe.condition.value, "seed": recipe.seed,
+            "cell": cell_identity(recipe, system)}
 
 
 def grid_cells(spec: SweepSpec, n_accesses: Optional[int] = None):
     """Iterate the grid's cells in CSV row order.
 
-    Yields ``(key, app, name, cfg, core, condition, seed)`` per cell —
-    the one nesting order (cores, conditions, seeds, configs, apps)
-    every consumer shares: the task builder, the store-hit rule
-    (:func:`_stored_rows`), and the jobs front end. Sharing the
-    iterator is what keeps a store-composed CSV byte-identical to an
-    executed one, and is the order fault ordinals count in.
-    ``n_accesses`` defaults like :class:`TraceCache` does.
+    Yields ``(key, recipe, system)`` per cell — the one nesting order
+    (cores, conditions, seeds, configs, apps) every consumer shares:
+    the task builder, the store-hit rule (:func:`_stored_rows`), and
+    the jobs front end. Sharing the iterator is what keeps a
+    store-composed CSV byte-identical to an executed one, and is the
+    order fault ordinals count in. ``n_accesses`` resolves like
+    :func:`~repro.sim.experiment.trace_recipe`.
     """
-    accesses = n_accesses or default_accesses()
     for core in spec.cores:
         for condition in spec.conditions:
             for seed in spec.seeds:
                 for name, cfg in spec.configs.items():
+                    system = system_for(core, cfg)
                     for app in spec.apps:
-                        yield (cell_key(app, name, core, condition, seed,
-                                        accesses),
-                               app, name, cfg, core, condition, seed)
+                        recipe = trace_recipe(app, n_accesses, condition,
+                                              seed)
+                        yield cell_key(name, recipe, system), recipe, system
 
 
-def _result_row(app: str, name: str, core: str,
-                condition: MemoryCondition, seed: int,
-                result, base) -> dict:
+def _result_row(key: Dict[str, object], result, base) -> dict:
     """One finished cell's CSV row (no status fields).
 
     The single source of truth for how a ``SimResult`` (plus its
@@ -180,12 +180,8 @@ def _result_row(app: str, name: str, core: str,
     cells, pool workers, and store hits all call this, so a row's
     bytes cannot depend on *where* the result came from.
     """
-    return {
-        "app": app,
-        "config": name,
-        "core": core,
-        "condition": condition.value,
-        "seed": seed,
+    row = {name: key[name] for name in FIELDS[:5]}
+    row.update({
         "ipc": result.ipc,
         "speedup": result.speedup_over(base) if base else "",
         "l1_miss_rate": result.l1_stats.miss_rate,
@@ -193,63 +189,51 @@ def _result_row(app: str, name: str, core: str,
         "extra_access_fraction": result.extra_access_fraction,
         "energy_j": result.energy.total,
         "energy_ratio": result.energy_over(base) if base else "",
-    }
+    })
+    return row
 
 
-def _simulated(app: str, name: str, cfg: L1Config, core: str,
-               condition: MemoryCondition, seed: int,
-               n_accesses: Optional[int], trace, warm: WarmStateCache,
-               engine: str, baseline: bool,
+def _simulated(key: Dict[str, object], recipe: TraceRecipe,
+               system: SystemConfig,
+               source: Union[TraceHandle, TraceCache],
+               warm: WarmStateCache, engine: str, baseline: bool,
                checkpoint_every: Optional[int] = None,
                checkpoint_path: Optional[Path] = None,
                exchange: bool = False):
-    """Simulate one (trace, system) and publish its result.
+    """One run's result: memoized for a baseline run, else simulated.
 
-    ``baseline`` runs — the baseline-config cell and every
-    normalization run — restore and snapshot warm state and keep their
-    result in the warm cache's LRU tier for their siblings. Results go
-    to the cache's store tier when one is bound: every result to a
-    ``--store`` root, only baseline results to a parallel sweep's
-    ephemeral ``exchange`` root, since nothing reads the others back.
-    A run with data faults armed publishes nothing: its divergence is
+    ``baseline`` runs — a cell whose system is the baseline's, and
+    every normalization run — read the warm cache first; on a miss
+    they restore and snapshot warm state and keep their result in the
+    warm cache's LRU tier for their siblings. The trace comes from
+    ``source`` only when the run simulates. Results go to the cache's
+    store tier when one is bound, a memoized one included, with
+    ``key`` as its meta sidecar: every result to a ``--store`` root,
+    only baseline results to a parallel sweep's ephemeral ``exchange``
+    root, since nothing reads the others back. While data faults are
+    armed nothing is read or published: a faulted run's divergence is
     intentional and must never serve another cell.
     """
-    system = system_for(core, cfg)
     faulted = _faults.any_armed()
-    result = run_app(app, system, condition=condition,
-                     n_accesses=n_accesses, seed=seed,
-                     checkpoint_every=checkpoint_every,
+    if baseline and not faulted:
+        result = warm.fetch_result(recipe, system)
+        if result is not None:
+            warm.store_result(recipe, system, result, meta=key)
+            return result
+    trace = (attach(source) if isinstance(source, TraceHandle)
+             else source.of(recipe))
+    result = run_app(recipe.app, system, checkpoint_every=checkpoint_every,
                      checkpoint_path=checkpoint_path,
                      resume_checkpoint=checkpoint_path, trace=trace,
                      warm_state=warm if baseline else None, engine=engine)
     if not faulted and (baseline or not exchange):
-        warm.store_result(
-            trace, system, result,
-            meta=cell_key(app, name, core, condition, seed, len(trace)),
-            remember=baseline)
+        warm.store_result(recipe, system, result, meta=key,
+                          remember=baseline)
     return result
 
 
-def _baseline_result(app: str, name: str, cfg: L1Config, core: str,
-                     condition: MemoryCondition, seed: int,
-                     n_accesses: Optional[int], trace,
-                     warm: WarmStateCache, engine: str):
-    """The group's baseline result: a warm-cache hit, else simulated.
-
-    Never served from the cache while data faults are armed — a
-    faulted run is *supposed* to diverge.
-    """
-    if not _faults.any_armed():
-        result = warm.fetch_result(trace, system_for(core, cfg))
-        if result is not None:
-            return result
-    return _simulated(app, name, cfg, core, condition, seed, n_accesses,
-                      trace, warm, engine, baseline=True)
-
-
-def _parallel_cell(app: str, name: str, cfg: L1Config, core: str,
-                   condition: MemoryCondition, seed: int,
-                   n_accesses: Optional[int],
+def _parallel_cell(key: Dict[str, object], recipe: TraceRecipe,
+                   system: SystemConfig,
                    baseline: Optional[Tuple[str, L1Config]],
                    checkpoint_every: Optional[int],
                    checkpoint_path: Optional[Path],
@@ -271,30 +255,27 @@ def _parallel_cell(app: str, name: str, cfg: L1Config, core: str,
     source (a missing file just means a fresh start).
     """
     try:
-        if isinstance(source, TraceHandle):
-            trace = attach(source)
-        else:
-            trace = source.get(app, n_accesses, condition, seed)
         warm = warm_cache_for(store)
-        result = _simulated(app, name, cfg, core, condition, seed,
-                            n_accesses, trace, warm, engine,
-                            baseline=(baseline is not None
-                                      and name == baseline[0]),
+        base_system = (system_for(system.core, baseline[1])
+                       if baseline is not None else None)
+        result = _simulated(key, recipe, system, source, warm, engine,
+                            baseline=system == base_system,
                             checkpoint_every=checkpoint_every,
                             checkpoint_path=checkpoint_path,
                             exchange=exchange)
         base = None
-        if baseline is not None:
-            base = _baseline_result(app, *baseline, core, condition, seed,
-                                    n_accesses, trace, warm, engine)
+        if base_system is not None:
+            base = _simulated(cell_key(baseline[0], recipe, base_system),
+                              recipe, base_system, source, warm, engine,
+                              baseline=True)
     except ReproError as exc:
-        raise exc.with_context(app=app, config=name, seed=seed)
-    return _result_row(app, name, core, condition, seed, result, base)
+        raise exc.with_context(app=recipe.app, config=key["config"],
+                               seed=recipe.seed)
+    return _result_row(key, result, base)
 
 
 def _stored_rows(spec: SweepSpec, n_accesses: Optional[int],
-                 traces: TraceCache, store: ResultStore,
-                 skip=lambda key: False):
+                 store: ResultStore, skip=lambda key: False):
     """Yield ``(key, row)`` per grid cell, composed from the store.
 
     The one store-hit rule: a hit needs the cell's own result **and**,
@@ -303,36 +284,33 @@ def _stored_rows(spec: SweepSpec, n_accesses: Optional[int],
     computed exactly like an executed cell computes them, from the same
     two deterministic results, so the row bytes match a cold run.
     Anything missing or unreadable is a miss (``row`` is ``None``), as
-    is every cell ``skip(key)`` selects — those are never read.
+    is every cell ``skip(key)`` selects — those are never read. Entries
+    are found by cell identity, so no trace is generated.
     """
     base_memo: Dict[tuple, Optional[object]] = {}
     base_cfg = (spec.configs[spec.baseline]
                 if spec.baseline is not None else None)
-    for key, app, name, cfg, core, condition, seed in grid_cells(
-            spec, n_accesses):
+    for key, recipe, system in grid_cells(spec, n_accesses):
         if skip(key):
             yield key, None
             continue
-        trace = traces.get(app, n_accesses, condition, seed)
         base = None
-        if base_cfg is not None and name != spec.baseline:
-            group = (app, core, condition.value, seed)
+        if base_cfg is not None and key["config"] != spec.baseline:
+            group = (recipe, system.core)
             if group not in base_memo:
-                base_memo[group] = store.fetch_result(
-                    store.digest(trace, system_for(core, base_cfg)))
+                base_memo[group] = store.fetch_result(store.digest(
+                    recipe, system_for(system.core, base_cfg)))
             base = base_memo[group]
             if base is None:
                 yield key, None
                 continue
-        result = store.fetch_result(
-            store.digest(trace, system_for(core, cfg)))
+        result = store.fetch_result(key["cell"])
         if result is None:
             yield key, None
             continue
-        if name == spec.baseline:
+        if key["config"] == spec.baseline:
             base = result
-        yield key, _result_row(app, name, core, condition, seed,
-                               result, base)
+        yield key, _result_row(key, result, base)
 
 
 def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
@@ -426,8 +404,7 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     hits: Dict[int, dict] = {}
     if store is not None:
         for i, (key, row) in enumerate(_stored_rows(
-                spec, n_accesses, traces, store,
-                skip=runner.completed_ok)):
+                spec, n_accesses, store, skip=runner.completed_ok)):
             if row is not None:
                 hits[i] = runner.record_hit(key, row)
     baseline = ((spec.baseline, spec.configs[spec.baseline])
@@ -441,26 +418,23 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     try:
         if runner.jobs > 1:
             trace_store = TraceStore()
-            pending = {(app, condition, seed)
-                       for key, app, _name, _cfg, _core, condition, seed
-                       in cells if not runner.completed_ok(key)}
-            for app, condition, seed in sorted(
-                    pending, key=lambda c: (c[0], c[1].value, c[2])):
-                trace = traces.get(app, n_accesses, condition, seed)
-                handles[(app, condition.value, seed)] = \
-                    trace_store.publish(
-                        trace, key=(app, len(trace), condition.value, seed))
+            pending = {recipe for key, recipe, _system in cells
+                       if not runner.completed_ok(key)}
+            for recipe in sorted(pending, key=lambda r: (
+                    r.app, r.condition.value, r.seed)):
+                handles[recipe] = trace_store.publish(traces.of(recipe),
+                                                      key=recipe)
             if tier is None and baseline is not None:
                 exchange = tempfile.mkdtemp(prefix="repro-warm-")
                 tier = ResultStore(exchange)
         tasks = [(key, partial(
-            _parallel_cell, app, name, cfg, core, condition, seed,
-            n_accesses, baseline, checkpoint_every,
+            _parallel_cell, key, recipe, system, baseline,
+            checkpoint_every,
             (checkpoint_path_for(runner.checkpoint_dir, key)
              if checkpoint_every else None),
-            handles.get((app, condition.value, seed), traces), tier,
+            handles.get(recipe, traces), tier,
             engine=engine, exchange=exchange is not None))
-            for key, app, name, cfg, core, condition, seed in cells]
+            for key, recipe, system in cells]
         # Baseline-first submission: under --jobs N every baseline-config
         # cell is dispatched before any sibling, so by the time the
         # siblings' normalization runs look for the baseline result it
@@ -477,15 +451,13 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
         warm_cache_for(None)  # unbind this sweep's store tier
     rows = (hits[i] if i in hits else next(executed)
             for i in range(len(hits) + len(tasks)))
-    # A degraded row carries its cell key, whose ``accesses`` is not a
-    # CSV column; every row is cut to FIELDS.
+    # A degraded row carries its cell key, whose ``cell`` is not a CSV
+    # column; every row is cut to FIELDS.
     return [{name: row.get(name, "") for name in FIELDS} for row in rows]
 
 
 def rows_from_store(spec: SweepSpec, n_accesses: Optional[int],
-                    store: ResultStore,
-                    traces: Optional[TraceCache] = None
-                    ) -> Tuple[List[dict], List[dict]]:
+                    store: ResultStore) -> Tuple[List[dict], List[dict]]:
     """Compose the grid's finished CSV rows purely from the store.
 
     The read-only counterpart of a sweep: no cell executes. Returns
@@ -499,8 +471,7 @@ def rows_from_store(spec: SweepSpec, n_accesses: Optional[int],
     blank = {name: "" for name in FIELDS}
     rows: List[dict] = []
     missing: List[dict] = []
-    for key, row in _stored_rows(spec, n_accesses, traces or TraceCache(),
-                                 store):
+    for key, row in _stored_rows(spec, n_accesses, store):
         if row is None:
             missing.append(key)
             rows.append(blank)

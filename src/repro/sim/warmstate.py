@@ -3,7 +3,7 @@
 A sweep with a ``baseline`` config simulates every (app, core,
 condition, seed) group's baseline *twice*: once as the baseline-config
 grid cell, and once more as the normalization run behind every other
-cell's ``speedup``/``energy_ratio`` columns (``_baseline_result`` in
+cell's ``speedup``/``energy_ratio`` columns (``_simulated`` in
 :mod:`repro.sim.sweep`). Under ``--jobs N`` the duplication multiplies
 — each pool worker memoizes its *own* baseline run. The simulations
 are deterministic, so every one of those repeats computes bit-for-bit
@@ -12,7 +12,7 @@ the same component state.
 :class:`WarmStateCache` eliminates the repeats. The first completed
 run of a (trace, system, length) triple snapshots its full component
 state through PR 4's ``state_dict()`` machinery, rendered into the
-digest-protected "repro-ckpt-1" text format; sibling cells restore
+digest-protected "repro-ckpt-2" text format; sibling cells restore
 that snapshot into a freshly built context and harvest the result
 without replaying a single access. Restore correctness is exactly the
 checkpoint/resume guarantee already proven byte-identical by
@@ -22,12 +22,13 @@ from ``position == len(trace)``.
 Reuse rules (enforced by the driver, documented in
 ``docs/architecture.md``):
 
-* keyed by (trace content fingerprint, full system config, access
-  count) — the store digest covers the same three, so a snapshot or
-  result can never warm a different trace or config. The full config,
-  not its generated name, because names alias: L1 configs that
-  differ only in fields the label omits (way prediction, line size)
-  share one;
+* keyed by the cell identity
+  (:func:`~repro.store.resultstore.cell_identity`: trace recipe plus
+  full system config), which is also the store digest, so a snapshot
+  or result can never warm a different trace or config. The full
+  config, not its generated name, because names alias: L1 configs
+  that differ only in fields the label omits (way prediction, line
+  size) share one. A trace without a recipe is never memoized;
 * disabled for runs with interval sampling, decision tracing, mid-sim
   checkpointing, or armed fault injection — those paths have
   side-channel outputs or intentional divergence a restored result
@@ -58,10 +59,11 @@ identical bytes.
 On top of state snapshots the cache memoizes finished
 :class:`~repro.sim.results.SimResult` objects
 (:meth:`WarmStateCache.fetch_result` / :meth:`~WarmStateCache.
-store_result`): restoring a state snapshot still pays for building a
-fresh simulation context, but a sweep's *normalization* runs
-(``_baseline_result``) only need the result, which pickles and loads
-in well under a millisecond.
+store_result`), keyed by cell identity alone, so they are found
+without a trace: restoring a state snapshot still pays for building a
+fresh simulation context, but a sweep's baseline runs only need the
+result, which pickles and loads in well under a millisecond, so they
+read it first.
 """
 
 from __future__ import annotations
@@ -70,9 +72,8 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional
 
 from ..errors import CheckpointError
-from ..workloads.substrate import columns_for
-from .checkpoint import render_checkpoint, trace_identity, \
-    verify_checkpoint_text
+from ..store.resultstore import cell_identity
+from .checkpoint import render_checkpoint, verify_checkpoint_text
 from .results import SimResult
 
 #: In-memory entries retained per cache (LRU). A snapshot text plus an
@@ -83,7 +84,7 @@ DEFAULT_MEMORY_ENTRIES = 64
 
 
 class WarmStateCache:
-    """Memoizes completed-run component state per (trace, system).
+    """Memoizes completed-run results and state per cell identity.
 
     The in-memory LRU tier is process-local. With a ``store``
     (:class:`~repro.store.ResultStore`), snapshots and results are
@@ -96,8 +97,8 @@ class WarmStateCache:
                  max_entries: int = DEFAULT_MEMORY_ENTRIES):
         self.result_store = store
         self.max_entries = max_entries
-        self._memory: "OrderedDict[tuple, str]" = OrderedDict()
-        self._results: "OrderedDict[tuple, SimResult]" = OrderedDict()
+        self._memory: "OrderedDict[str, str]" = OrderedDict()
+        self._results: "OrderedDict[str, SimResult]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -109,79 +110,69 @@ class WarmStateCache:
         while len(layer) > self.max_entries:
             layer.popitem(last=False)
 
-    def _key(self, trace, system) -> tuple:
-        return (columns_for(trace).fingerprint, system, len(trace))
-
     def fetch(self, trace, system) -> Optional[Dict[str, Any]]:
         """The verified snapshot payload for this run, or ``None``.
 
         Checks the in-memory tier, then the store tier. The text is
         verified exactly like a checkpoint file (schema, digest, trace
-        identity, system name) plus the completeness marker
+        identity, cell identity) plus the completeness marker
         ``position == len(trace)``; anything that fails verification is
         treated as a miss — the caller simulates, it never errors.
         """
-        key = self._key(trace, system)
-        text = self._memory.get(key)
-        if text:
+        payload = None
+        key = (cell_identity(trace.recipe, system)
+               if trace.recipe is not None else None)
+        if key in self._memory:
+            self._memory.move_to_end(key)
             try:
                 payload = verify_checkpoint_text(
-                    text, source=f"warm state {system.name}", trace=trace,
-                    system_name=system.name)
+                    self._memory[key], source=f"warm state {system.name}",
+                    trace=trace, cell=key)
             except CheckpointError:
-                payload = None
-            if (payload is not None
-                    and payload.get("position") == len(trace)):
-                self._memory.move_to_end(key)
-                self.hits += 1
-                return payload
-        if self.result_store is not None:
-            digest = self.result_store.digest(trace, system)
-            payload = self.result_store.fetch_state(digest, trace=trace,
-                                                    system_name=system.name)
-            if (payload is not None
-                    and payload.get("position") == len(trace)):
-                self.hits += 1
-                return payload
-        self.misses += 1
-        return None
+                pass
+        if payload is None and key and self.result_store is not None:
+            payload = self.result_store.fetch_state(key, trace=trace)
+        if payload is None or payload.get("position") != len(trace):
+            self.misses += 1
+            return None
+        self.hits += 1
+        return payload
 
     def store(self, trace, system, state: Dict[str, Any]) -> None:
         """Publish a completed run's component state for siblings.
 
         ``position`` is stamped as ``len(trace)`` — the completeness
         marker :meth:`fetch` requires — and the snapshot carries the
-        same trace/system binding a mid-run checkpoint would, so the
+        same trace/cell binding a mid-run checkpoint would, so the
         verification path is shared end to end. Like
         :meth:`store_result`, the store tier (when bound) always
         receives it, so a snapshot already in memory still reaches a
         newly bound store.
         """
-        key = self._key(trace, system)
-        text = render_checkpoint(
-            state=state, position=len(trace), trace=trace,
-            system_name=system.name,
-            identity=trace_identity(trace))
+        if trace.recipe is None:
+            return
+        key = cell_identity(trace.recipe, system)
+        text = render_checkpoint(state=state, position=len(trace),
+                                 trace=trace, cell=key)
         if key not in self._memory:
             self._remember(self._memory, key, text)
             self.stores += 1
         if self.result_store is not None:
-            self.result_store.store_state(
-                self.result_store.digest(trace, system), text)
+            self.result_store.store_state(key, text)
 
-    def fetch_result(self, trace, system) -> Optional[SimResult]:
-        """The memoized finished result for this run, or ``None``.
+    def fetch_result(self, recipe, system) -> Optional[SimResult]:
+        """The memoized finished result for this cell, or ``None``.
 
-        Same two-tier lookup and same (fingerprint, system, length)
-        binding as :meth:`fetch`, but returning the :class:`SimResult`
-        directly — no context rebuild. A store entry that is
-        unreadable or of the wrong type is a miss, never an error.
+        Same two-tier lookup and same cell-identity key as
+        :meth:`fetch`, but returning the :class:`SimResult` directly —
+        no trace, no context rebuild. A store entry that is unreadable
+        or of the wrong type is a miss, never an error; so is a
+        ``None`` recipe.
         """
-        key = self._key(trace, system)
+        key = cell_identity(recipe, system) if recipe is not None else None
         result = self._results.get(key)
-        if result is None and self.result_store is not None:
-            result = self.result_store.fetch_result(
-                self.result_store.digest(trace, system))
+        if result is None and key and self.result_store is not None:
+            result = self.result_store.fetch_result(key)
         if result is None:
             self.misses += 1
             return None
@@ -189,25 +180,25 @@ class WarmStateCache:
         self.hits += 1
         return result
 
-    def store_result(self, trace, system, result: SimResult,
+    def store_result(self, recipe, system, result: SimResult,
                      meta: Optional[Dict[str, Any]] = None,
                      remember: bool = True) -> None:
-        """Publish a finished result for this run's siblings.
+        """Publish a finished result for this cell's siblings.
 
         ``remember`` keeps it in the in-memory tier; the store tier
         (when bound) always receives it, with ``meta`` as its
         provenance sidecar. The store publish is idempotent, so a
         result already in memory still reaches a newly bound store.
+        A ``None`` recipe publishes nothing.
         """
-        if remember:
-            key = self._key(trace, system)
-            if key not in self._results:
-                self._remember(self._results, key, result)
-                self.stores += 1
+        if recipe is None:
+            return
+        key = cell_identity(recipe, system)
+        if remember and key not in self._results:
+            self._remember(self._results, key, result)
+            self.stores += 1
         if self.result_store is not None:
-            self.result_store.store_result(
-                self.result_store.digest(trace, system), result,
-                meta=meta)
+            self.result_store.store_result(key, result, meta=meta)
 
     def clear(self) -> None:
         """Drop the in-memory tier (store entries are left alone)."""
@@ -225,9 +216,10 @@ def warm_cache_for(store=None) -> WarmStateCache:
     to ``store`` (a :class:`~repro.store.ResultStore`, or ``None`` for
     in-memory only).
 
-    Entries are keyed by trace content and verified on every fetch, so
-    the LRU tier is safe to share across sweeps and store roots; only
-    the store tier follows the caller.
+    Entries are keyed by cell identity (snapshots are also verified
+    against the trace content on every fetch), so the LRU tier is safe
+    to share across sweeps and store roots; only the store tier follows
+    the caller.
     """
     _PROCESS_CACHE.result_store = store
     return _PROCESS_CACHE

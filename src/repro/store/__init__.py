@@ -6,7 +6,7 @@ Public surface of the sweep-as-a-service layer (operations manual:
 * :class:`~repro.store.resultstore.ResultStore` — the persistent
   content-addressed store of completed (trace, system) simulation
   results and state snapshots, with canonical digests
-  (:func:`~repro.store.resultstore.cell_digest`), a versioned
+  (:func:`~repro.store.resultstore.cell_identity`), a versioned
   atomic-write layout under ``REPRO_STORE_DIR``
   (default ``~/.cache/repro-store``), corrupt-entry-as-miss reads, and
   size-bounded LRU GC.
@@ -53,7 +53,7 @@ from .resultstore import (
     SCHEMA,
     TMP_MAX_AGE_S,
     ResultStore,
-    cell_digest,
+    cell_identity,
     default_store_root,
     system_payload,
 )
@@ -69,7 +69,7 @@ __all__ = [
     "SCHEMA",
     "ResultStore",
     "TMP_MAX_AGE_S",
-    "cell_digest",
+    "cell_identity",
     "default_store_root",
     "diagnose",
     "job_id_for",

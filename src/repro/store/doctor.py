@@ -86,7 +86,7 @@ def _entry_findings(store: ResultStore) -> List[Finding]:
                 try:
                     verify_checkpoint_text(
                         path.read_text(),
-                        source=f"store entry {digest[:12]}")
+                        source=f"store entry {digest[:12]}", cell=digest)
                 except (OSError, CheckpointError) as exc:
                     findings.append(Finding(
                         "corrupt-state", path,

@@ -13,34 +13,36 @@ box — that asks for the same cell gets the finished
 That is the ROADMAP's sweep-as-a-service architecture: most traffic
 becomes lookups, not simulations.
 
-Digest scheme (``repro-store-1``)
+Cell identity (``repro-store-2``)
 ---------------------------------
-A cell's identity is the SHA-256 over the canonical JSON
+:func:`cell_identity` is the one answer to "which cell is this": the
+SHA-256 over the canonical JSON
 (:func:`repro.stateutil.canonical_json` — sorted keys, compact
 separators, so the same logical payload always maps to the same bytes
 in every process; no ``PYTHONHASHSEED``-dependent ``hash()`` anywhere)
 of::
 
-    {"schema": "repro-store-1",
-     "trace":  {app, condition, n_accesses,
-                fingerprint},          # CRC-32 over the column bytes
-     "system": {name, core, l1: {...}, l2/llc geometry, ...},
-     "conditions": {...}}              # engine-relevant extras
+    {"schema": "repro-store-2",
+     "recipe": {app, accesses, condition, seed, version},
+     "system": {name, core, l1: {...}, l2/llc geometry, ...}}
 
-* ``trace`` is :func:`repro.sim.checkpoint.trace_identity` — the same
-  content binding checkpoints verify, so two traces that merely share
-  a label can never alias.
+* ``recipe`` is the :class:`~repro.workloads.trace.TraceRecipe` the
+  trace is generated from, ``version`` the generator's
+  ``GENERATOR_VERSION``. It names the trace without generating it, so
+  a store hit costs no trace generation.
 * ``system`` is the **full config dict** (every
   :class:`~repro.sim.config.SystemConfig` and nested
   :class:`~repro.sim.config.L1Config` field, enums by value), not just
-  the display name — a renamed-but-different config can never alias
-  either.
-* ``conditions`` carries engine-relevant run conditions. The replay
-  ``engine`` is deliberately **excluded**: the kernel is byte-identical
-  to the python oracle (CI enforces it), so both engines share
-  entries. Side-channel modes (interval sampling, decision tracing)
-  never reach the store at all — the sweep only consults it for plain
-  result rows, mirroring the warm-state reuse rules.
+  the display name — configs that share a name can never alias.
+* The replay ``engine`` is deliberately **excluded**: the kernel is
+  byte-identical to the python oracle (CI enforces it), so both
+  engines share entries. Side-channel modes (interval sampling,
+  decision tracing) never reach the store at all — the sweep only
+  consults it for plain result rows.
+
+The same identity is the store digest, the sweep journal's ``cell``
+key field (and through it the mid-cell checkpoint file name), the
+binding inside every checkpoint body, and the warm memo's key.
 
 On-disk layout (versioned)
 --------------------------
@@ -49,7 +51,7 @@ On-disk layout (versioned)
     <root>/                      # REPRO_STORE_DIR, default
     │                            # ~/.cache/repro-store
     ├── v1/<aa>/<digest>.result.pkl   # pickled SimResult
-    ├── v1/<aa>/<digest>.state.json   # optional repro-ckpt-1 snapshot
+    ├── v1/<aa>/<digest>.state.json   # optional repro-ckpt-2 snapshot
     ├── v1/<aa>/<digest>.meta.json    # human-readable provenance
     ├── jobs/<job-id>.json            # repro.store.jobs
     └── pending/<digest>.json         # in-flight claims (advisory)
@@ -96,8 +98,8 @@ from ..ioutil import (atomic_write_bytes, atomic_write_text, io_guard,
                       read_bytes, read_text)
 from ..stateutil import canonical_json
 
-#: Digest-payload schema tag; bump when the identity payload changes.
-SCHEMA = "repro-store-1"
+#: Identity-payload schema tag; bump when the identity payload changes.
+SCHEMA = "repro-store-2"
 
 #: On-disk layout version directory; bump on incompatible layout.
 LAYOUT = "v1"
@@ -165,20 +167,21 @@ def system_payload(system) -> Dict[str, Any]:
     return _jsonable(asdict(system))
 
 
-def cell_digest(trace, system,
-                conditions: Optional[Dict[str, Any]] = None) -> str:
-    """The content digest identifying one completed simulation cell.
+def cell_identity(recipe, system) -> str:
+    """The identity of one simulation cell: what its result depends on.
 
-    SHA-256 hex over the canonical JSON of (schema tag, trace identity,
-    full system config, engine-relevant conditions). Stable across
-    processes and Python versions by construction — only
-    ``canonical_json`` and content hashes, no ``hash()``.
+    SHA-256 hex over the canonical JSON of (schema tag, trace
+    ``recipe``, full system config) — see the module docs. ``recipe``
+    is a :class:`~repro.workloads.trace.TraceRecipe`, or ``None`` for a
+    trace without one; such an identity binds only checkpoints (which
+    also verify the trace content) and never keys the memo or the
+    store. Stable across processes and Python versions by
+    construction — only ``canonical_json``, no ``hash()``.
     """
-    from ..sim.checkpoint import trace_identity
     payload = {"schema": SCHEMA,
-               "trace": trace_identity(trace),
-               "system": system_payload(system),
-               "conditions": _jsonable(dict(conditions or {}))}
+               "recipe": None if recipe is None else _jsonable(
+                   recipe._asdict()),
+               "system": system_payload(system)}
     return hashlib.sha256(
         canonical_json(payload).encode("utf-8")).hexdigest()
 
@@ -197,7 +200,7 @@ class ResultStore:
         ``0`` disables eviction.
 
     Entries are looked up and written by digest (:meth:`digest` /
-    :func:`cell_digest`); hit/miss/store tallies live on the instance
+    :func:`cell_identity`); hit/miss/store tallies live on the instance
     (``hits``/``misses``/``stores``/``evicted``) for the CLI epilogue,
     alongside the degradation counters
     (``read_failures``/``write_failures``/``tmp_swept``).
@@ -261,17 +264,16 @@ class ResultStore:
         """The versioned entry directory (``<root>/v1``)."""
         return self.root / LAYOUT
 
-    def digest(self, trace, system,
-               conditions: Optional[Dict[str, Any]] = None) -> str:
-        """Digest for (``trace``, ``system``); see :func:`cell_digest`."""
-        return cell_digest(trace, system, conditions)
+    def digest(self, recipe, system) -> str:
+        """Digest for (``recipe``, ``system``): :func:`cell_identity`."""
+        return cell_identity(recipe, system)
 
     def result_path(self, digest: str) -> Path:
         """Where ``digest``'s pickled ``SimResult`` lives."""
         return self.layout_dir / digest[:2] / f"{digest}.result.pkl"
 
     def state_path(self, digest: str) -> Path:
-        """Where ``digest``'s rendered repro-ckpt-1 snapshot lives."""
+        """Where ``digest``'s rendered repro-ckpt-2 snapshot lives."""
         return self.layout_dir / digest[:2] / f"{digest}.state.json"
 
     def meta_path(self, digest: str) -> Path:
@@ -355,13 +357,13 @@ class ResultStore:
 
     # -- state snapshots ----------------------------------------------
 
-    def fetch_state(self, digest: str, trace=None,
-                    system_name: Optional[str] = None
+    def fetch_state(self, digest: str, trace=None
                     ) -> Optional[Dict[str, Any]]:
         """The verified snapshot payload for ``digest``, or ``None``.
 
         The entry text is verified exactly like a checkpoint file
-        (schema, digest line, trace identity, system name — see
+        (schema, digest line, trace identity, and ``digest`` as the
+        cell identity its body binds — see
         :func:`repro.sim.checkpoint.verify_checkpoint_text`); anything
         that fails verification is a miss, and the damaged entry is
         best-effort removed.
@@ -380,7 +382,7 @@ class ResultStore:
         try:
             payload = verify_checkpoint_text(
                 text, source=f"store entry {digest[:12]}", trace=trace,
-                system_name=system_name)
+                cell=digest)
         except CheckpointError:
             try:
                 path.unlink()
@@ -393,7 +395,7 @@ class ResultStore:
         return payload
 
     def store_state(self, digest: str, text: str) -> None:
-        """Publish a rendered repro-ckpt-1 snapshot under ``digest``.
+        """Publish a rendered repro-ckpt-2 snapshot under ``digest``.
 
         ``text`` is the two-line digest-protected format produced by
         :func:`repro.sim.checkpoint.render_checkpoint` — stored

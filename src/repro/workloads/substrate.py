@@ -385,17 +385,13 @@ class TraceHandle:
 
     ``layout`` maps column name -> ``(dtype string, length, byte
     offset)`` inside the segment; ``meta`` carries the scalar trace
-    fields (app, condition, mlp, huge_fraction, asid, fingerprint)
-    needed to rebuild the :class:`Trace` shell on attach.
+    fields (app, condition, mlp, huge_fraction, asid, fingerprint,
+    recipe) needed to rebuild the :class:`Trace` shell on attach.
     """
 
     name: str
     layout: Tuple[Tuple[str, str, int, int], ...]
     meta: Tuple[Tuple[str, object], ...]
-
-    def meta_dict(self) -> Dict[str, object]:
-        """The ``meta`` pairs as a dict (handles are hashable tuples)."""
-        return dict(self.meta)
 
 
 def _untrack(shm: shared_memory.SharedMemory) -> None:
@@ -513,9 +509,9 @@ def _scavenge_once() -> None:
 class TraceStore:
     """Parent-side registry of traces published to shared memory.
 
-    Content-addressed: :meth:`publish` keys each segment by the cell
-    coordinates ``(app, n_accesses, condition, seed)`` (or any hashable
-    key the caller supplies) and is idempotent per key. The store owns
+    Content-addressed: :meth:`publish` keys each segment by the
+    trace's :class:`~repro.workloads.trace.TraceRecipe` (or any
+    hashable key the caller supplies) and is idempotent per key. The store owns
     its segments — :meth:`close` unlinks every one, and construction
     registers the store with an ``atexit`` net so even an exit path
     that skips the owning ``finally`` cannot leak ``/dev/shm`` entries.
@@ -580,14 +576,10 @@ class TraceStore:
                   ("mlp", trace.mlp),
                   ("huge_fraction", trace.huge_fraction),
                   ("asid", trace.process.page_table.asid),
-                  ("fingerprint", cols.fingerprint)))
+                  ("fingerprint", cols.fingerprint),
+                  ("recipe", trace.recipe)))
         self._segments[key] = (shm, handle)
         return handle
-
-    def handle(self, key: object) -> Optional[TraceHandle]:
-        """The handle published under ``key``, or ``None``."""
-        entry = self._segments.get(key)
-        return entry[1] if entry else None
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -640,7 +632,7 @@ def attach(handle: TraceHandle) -> Trace:
                           offset=offset)
         view.flags.writeable = False
         views[name] = view
-    meta = handle.meta_dict()
+    meta = dict(handle.meta)
     table = ArrayPageTable(views["pt_vpn"], views["pt_pfn"],
                            views["pt_flags"], asid=int(meta["asid"]))
     trace = Trace(
@@ -653,7 +645,8 @@ def attach(handle: TraceHandle) -> Trace:
         inst_gap=views["inst_gap"],
         dep_dist=views["dep_dist"],
         mlp=float(meta["mlp"]),
-        huge_fraction=float(meta["huge_fraction"]))
+        huge_fraction=float(meta["huge_fraction"]),
+        recipe=meta["recipe"])
     trace._columns = TraceColumns(trace, vpn=views["vpn"],
                                   ppn=views["ppn"],
                                   fingerprint=str(meta["fingerprint"]))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,23 @@ class MemoryCondition(enum.Enum):
     THP_OFF = "thp_off"        # transparent huge pages disabled
 
 
+#: Bump with any change to what ``generate_trace`` produces: every
+#: journal, checkpoint and store entry keyed by an older recipe then
+#: stops matching (``tests/test_trace_golden.py`` pins it).
+GENERATOR_VERSION = 1
+
+
+class TraceRecipe(NamedTuple):
+    """Everything that determines a :func:`generate_trace` trace; it
+    names the trace without generating it."""
+
+    app: str
+    accesses: int
+    condition: MemoryCondition
+    seed: int
+    version: int = GENERATOR_VERSION
+
+
 @dataclass
 class Trace:
     """One application's memory-access trace plus its address space."""
@@ -70,6 +87,9 @@ class Trace:
     dep_dist: np.ndarray    # int32: distance to first consumer
     mlp: float
     huge_fraction: float    # fraction of accesses landing on huge pages
+    # Set only by generate_trace in its own default-sized memory; a
+    # trace without one never enters the warm memo or the store.
+    recipe: Optional[TraceRecipe] = None
 
     def __len__(self) -> int:
         return len(self.va)
@@ -242,6 +262,9 @@ def generate_trace(app: str, n_accesses: int,
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, stable_hash(app),
                                 stable_hash(condition.value)]))
+    recipe = (TraceRecipe(app, n_accesses, condition, seed)
+              if memory is None and phys_bytes == DEFAULT_PHYS_BYTES
+              else None)
     if memory is None:
         memory = _condition_memory(condition, phys_bytes, rng)
     process, regions = build_memory_image(profile, memory, rng)
@@ -325,4 +348,5 @@ def generate_trace(app: str, n_accesses: int,
         dep_dist=dep_dist,
         mlp=profile.mlp,
         huge_fraction=huge_hits / n_accesses,
+        recipe=recipe,
     )

@@ -1,6 +1,6 @@
 """Tests for mid-simulation checkpoint/restore and the watchdog.
 
-Covers the snapshot file format ("repro-ckpt-1": two JSON lines,
+Covers the snapshot file format ("repro-ckpt-2": two JSON lines,
 header + digest-protected body), every fail-closed verification path,
 the driver's crash-at-access / resume behaviour (byte-identical
 results), the runner's ``resumable`` status classification, the
@@ -44,6 +44,7 @@ from repro.sim.faults import (
 from repro.sim.executors import call_with_timeout
 from repro.sim.resilience import ResilientRunner, load_journal
 from repro.sim.sweep import SweepSpec, run_sweep, to_csv
+from repro.store import cell_identity
 
 CACHE = TraceCache()
 N = 3000
@@ -71,13 +72,13 @@ def test_checkpoint_is_two_json_lines_with_digest(tmp_path):
     trace = CACHE.get("povray", N)
     path = tmp_path / "c.json"
     write_checkpoint(path, state={"x": 1}, position=10, trace=trace,
-                     system_name="sys")
+                     cell="sys")
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     header = json.loads(lines[0])
     assert header["schema"] == SCHEMA
     assert header["digest"] == compute_digest(lines[1])
-    payload = load_checkpoint(path, trace=trace, system_name="sys")
+    payload = load_checkpoint(path, trace=trace, cell="sys")
     assert payload["position"] == 10
     assert payload["state"] == {"x": 1}
     assert payload["trace"] == trace_identity(trace)
@@ -91,7 +92,7 @@ def test_truncated_checkpoint_fails_closed(tmp_path):
     trace = CACHE.get("povray", N)
     path = tmp_path / "c.json"
     write_checkpoint(path, state={}, position=0, trace=trace,
-                     system_name="sys")
+                     cell="sys")
     header_only = path.read_text().partition("\n")[0]
     path.write_text(header_only + "\n")
     with pytest.raises(CheckpointError, match="truncated"):
@@ -102,7 +103,7 @@ def test_tampered_body_fails_digest_verification(tmp_path):
     trace = CACHE.get("povray", N)
     path = tmp_path / "c.json"
     write_checkpoint(path, state={}, position=100, trace=trace,
-                     system_name="sys")
+                     cell="sys")
     tampered = path.read_text().replace('"position":100',
                                         '"position":999')
     path.write_text(tampered)
@@ -133,7 +134,7 @@ def test_checkpoint_bound_to_one_trace(tmp_path):
     other = CACHE.get("povray", N + 500)
     path = tmp_path / "c.json"
     write_checkpoint(path, state={}, position=0, trace=trace,
-                     system_name="sys")
+                     cell="sys")
     with pytest.raises(CheckpointError, match="belongs to trace"):
         load_checkpoint(path, trace=other)
 
@@ -142,16 +143,16 @@ def test_checkpoint_bound_to_one_system(tmp_path):
     trace = CACHE.get("povray", N)
     path = tmp_path / "c.json"
     write_checkpoint(path, state={}, position=0, trace=trace,
-                     system_name="sipt-a")
-    with pytest.raises(CheckpointError, match="taken on system"):
-        load_checkpoint(path, system_name="sipt-b")
+                     cell="sipt-a")
+    with pytest.raises(CheckpointError, match="taken on cell"):
+        load_checkpoint(path, cell="sipt-b")
 
 
 def test_invalid_position_rejected(tmp_path):
     trace = CACHE.get("povray", N)
     path = tmp_path / "c.json"
     write_checkpoint(path, state={}, position=-1, trace=trace,
-                     system_name="sys")
+                     cell="sys")
     with pytest.raises(CheckpointError, match="position"):
         load_checkpoint(path)
 
@@ -232,7 +233,8 @@ def test_midsim_crash_then_resume_is_byte_identical(tmp_path):
     with pytest.raises(WorkerCrash):
         simulate(trace, system, checkpoint_every=1000,
                  checkpoint_path=ck)
-    payload = load_checkpoint(ck, trace=trace, system_name=system.name)
+    payload = load_checkpoint(ck, trace=trace,
+                              cell=cell_identity(trace.recipe, system))
     assert payload["position"] == 2000         # last boundary below 2200
 
     resumed = simulate(trace, system, checkpoint_every=1000,
@@ -292,7 +294,7 @@ def test_stale_checkpoint_beyond_trace_rejected(tmp_path):
     system = ooo_system(BASELINE_L1)
     ck = tmp_path / "cell.json"
     write_checkpoint(ck, state={}, position=N + 1, trace=trace,
-                     system_name=system.name)
+                     cell=cell_identity(trace.recipe, system))
     with pytest.raises(CheckpointError, match="exceeds the trace"):
         simulate(trace, system, resume_checkpoint=ck)
 

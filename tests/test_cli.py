@@ -383,3 +383,144 @@ def test_jobs_run_releases_claims_and_renews_leases(tmp_path, capsys):
     assert main(["jobs", "run", job_id, "--store", store]) == 0
     # All claims released: no markers linger after a clean run.
     assert list(pending_dir(ResultStore(store)).glob("*.json")) == []
+
+
+# ---------------------------------------------------------------------
+# Cell identity: journals, checkpoints and the store key one function
+# ---------------------------------------------------------------------
+
+def test_suite_journal_does_not_resume_across_way_prediction(tmp_path,
+                                                             capsys):
+    """The geometry name is the same with and without way prediction,
+    the L1 is not: a resume must rerun, not replay, every cell."""
+    journal = str(tmp_path / "j.jsonl")
+    argv = ["suite", "--geometry", "32K_4w", "--accesses", "600"]
+    assert main([*argv, "--way-prediction", "--journal", journal]) == 0
+    predicted = capsys.readouterr().out
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert plain != predicted
+    assert main([*argv, "--resume", journal]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain
+    # Only the VIPT baseline half, the same cells either way, resumes.
+    assert "(26 resumed)" in captured.err
+    # The same flags do resume.
+    assert main([*argv, "--way-prediction", "--resume", journal]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == predicted
+    assert "52 resumed" in captured.err
+
+
+RUN_CELL = ["run", "--app", "mcf", "--geometry", "32K_4w",
+            "--way-prediction", "--accesses", "3000"]
+
+
+def _checkpointed(argv, ckpts):
+    return [*argv, "--checkpoint-every", "500", "--checkpoint-dir",
+            str(ckpts)]
+
+
+def _crashed_run(tmp_path, capsys):
+    """A way-predicted run killed at access 2000; returns its ckpt dir."""
+    ckpts = tmp_path / "ckpts"
+    assert main([*_checkpointed(RUN_CELL, ckpts),
+                 "--inject", "crash@0@2000"]) == 3
+    assert len(list(ckpts.glob("ckpt-*.json"))) == 1
+    capsys.readouterr()
+    return ckpts
+
+
+@pytest.mark.parametrize("change", [
+    ["--way-prediction"], ["--accesses", "4000"], ["--variant", "naive"]],
+    ids=["way-prediction", "accesses", "variant"])
+def test_run_checkpoint_resumes_only_its_own_cell(tmp_path, capsys,
+                                                  change):
+    """After a crash, a run of a different cell starts fresh (its output
+    equals a clean run, the snapshot stays), and the same cell resumes
+    (the snapshot is consumed)."""
+    ckpts = _crashed_run(tmp_path, capsys)
+    if change == ["--way-prediction"]:
+        other = [a for a in RUN_CELL if a != "--way-prediction"]
+    else:
+        other = [*RUN_CELL, *change]
+    assert main(other) == 0
+    clean = capsys.readouterr().out
+    assert main(_checkpointed(other, ckpts)) == 0
+    assert capsys.readouterr().out == clean
+    assert len(list(ckpts.glob("ckpt-*.json"))) == 1
+    assert main(RUN_CELL) == 0
+    same_clean = capsys.readouterr().out
+    assert main(_checkpointed(RUN_CELL, ckpts)) == 0
+    assert capsys.readouterr().out == same_clean
+    assert not list(ckpts.glob("ckpt-*.json"))
+
+
+def test_explicit_resume_of_another_cell_fails_closed(tmp_path, capsys):
+    ckpts = _crashed_run(tmp_path, capsys)
+    (snapshot,) = ckpts.glob("ckpt-*.json")
+    plain = [a for a in RUN_CELL if a != "--way-prediction"]
+    assert main([*plain, "--resume-checkpoint", str(snapshot)]) == 1
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "taken on cell" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--app", "gamess"], ["suite"], ["stats", "--app", "gamess"],
+    ["trace", "--app", "gamess"], ["mix"], ["validate"], ["bench"],
+    ["sweep", "--apps", "gamess", "--geometries", "baseline"],
+    ["jobs", "submit", "--apps", "gamess"]],
+    ids=lambda argv: argv[0] + ("-" + argv[1] if argv[0] == "jobs" else ""))
+def test_non_positive_accesses_rejected_at_parse_time(argv, capsys):
+    """``--accesses 0`` used to run the 50,000-access default."""
+    for bad in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--accesses", bad])
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+
+def _count_generations(monkeypatch):
+    import repro.sim.experiment as experiment
+    calls = []
+    real = experiment.generate_trace
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(experiment, "generate_trace", counted)
+    return calls
+
+
+def test_warm_store_rerun_and_jobs_submit_generate_no_trace(
+        tmp_path, monkeypatch, capsys):
+    calls = _count_generations(monkeypatch)
+    store = str(tmp_path / "store")
+    grid = [*SWEEP_GRID, "--conditions", "normal,fragmented"]
+    assert main(["sweep", *grid, "--out", str(tmp_path / "cold.csv"),
+                 "--store", store]) == 0
+    assert calls                    # the cold run did generate
+    calls.clear()
+    assert main(["sweep", *grid, "--out", str(tmp_path / "warm.csv"),
+                 "--store", store]) == 0
+    assert "0 simulated" in capsys.readouterr().err
+    assert main(["jobs", "submit", *grid, "--store", store]) == 0
+    assert "4 already in store" in capsys.readouterr().out
+    assert calls == []
+
+
+def test_python_engine_store_serves_kernel_rerun(tmp_path, capsys):
+    """Engine is not part of the cell identity: a store populated by
+    the python oracle serves a kernel sweep of the same grid in full."""
+    store = str(tmp_path / "store")
+    grid = ["--apps", "mcf,gamess", "--geometries", "baseline,32K_2w",
+            "--baseline", "baseline", "--accesses", "1000"]
+    python_csv = tmp_path / "python.csv"
+    kernel_csv = tmp_path / "kernel.csv"
+    assert main(["sweep", *grid, "--engine", "python", "--store", store,
+                 "--out", str(python_csv)]) == 0
+    capsys.readouterr()
+    assert main(["sweep", *grid, "--engine", "kernel", "--store", store,
+                 "--out", str(kernel_csv)]) == 0
+    assert "4 of 4 cells from store, 0 simulated" in capsys.readouterr().err
+    assert kernel_csv.read_bytes() == python_csv.read_bytes()

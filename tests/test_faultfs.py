@@ -167,7 +167,7 @@ def result_for(trace):
 def test_store_result_degrades_on_persistent_write_failure(
         tmp_path, trace, capsys):
     store = ResultStore(tmp_path)
-    digest = store.digest(trace, ooo_system(BASELINE_L1))
+    digest = store.digest(trace.recipe, ooo_system(BASELINE_L1))
     arm("io_error@0x0")                    # every attempt fails
     store.store_result(digest, result_for(trace))
     err = capsys.readouterr().err
@@ -189,7 +189,7 @@ def test_store_result_degrades_on_unwritable_root(tmp_path, trace,
     root = tmp_path / "ro"
     root.mkdir()
     store = ResultStore(root)
-    digest = store.digest(trace, ooo_system(BASELINE_L1))
+    digest = store.digest(trace.recipe, ooo_system(BASELINE_L1))
     (root / "v1").write_text("not a directory")
     store.store_result(digest, result_for(trace))
     assert store.write_failures == 1
@@ -199,7 +199,7 @@ def test_store_result_degrades_on_unwritable_root(tmp_path, trace,
 def test_fetch_result_read_failure_is_a_counted_miss(tmp_path, trace,
                                                      capsys):
     store = ResultStore(tmp_path)
-    digest = store.digest(trace, ooo_system(BASELINE_L1))
+    digest = store.digest(trace.recipe, ooo_system(BASELINE_L1))
     store.store_result(digest, result_for(trace))
     arm("io_error@0x0")
     assert store.fetch_result(digest) is None
@@ -214,7 +214,7 @@ def test_fetch_result_read_failure_is_a_counted_miss(tmp_path, trace,
 def test_fetch_result_corrupt_entry_discards_without_failure_count(
         tmp_path, trace):
     store = ResultStore(tmp_path)
-    digest = store.digest(trace, ooo_system(BASELINE_L1))
+    digest = store.digest(trace.recipe, ooo_system(BASELINE_L1))
     store.store_result(digest, result_for(trace))
     store.result_path(digest).write_bytes(b"not a pickle")
     assert store.fetch_result(digest) is None
@@ -224,7 +224,7 @@ def test_fetch_result_corrupt_entry_discards_without_failure_count(
 
 def test_touch_failure_is_silent(tmp_path, trace):
     store = ResultStore(tmp_path)
-    digest = store.digest(trace, ooo_system(BASELINE_L1))
+    digest = store.digest(trace.recipe, ooo_system(BASELINE_L1))
     store.store_result(digest, result_for(trace))
     # Ops: 0 = fetch read, 1 = the hit's _touch guard.
     plan = arm("io_error@1x0")
@@ -238,18 +238,19 @@ def test_warmstate_publish_failure_is_counted(tmp_path, trace,
     store = ResultStore(tmp_path / "store")
     cache = WarmStateCache(store)
     arm("io_error@0x0")
-    cache.store_result(trace, ooo_system(BASELINE_L1),
+    cache.store_result(trace.recipe, ooo_system(BASELINE_L1),
                        result_for(trace))
     assert store.write_failures == 1
     # The in-memory tier still serves the result.
-    assert cache.fetch_result(trace, ooo_system(BASELINE_L1)) is not None
+    assert cache.fetch_result(trace.recipe,
+                              ooo_system(BASELINE_L1)) is not None
 
 
 def test_warmstate_result_tmp_files_carry_tmp_suffix(tmp_path, trace):
     """The store-tier publish goes through atomic_write_bytes, so an
     orphaned temp file is visible to the store litter sweep."""
     cache = WarmStateCache(ResultStore(tmp_path))
-    cache.store_result(trace, ooo_system(BASELINE_L1),
+    cache.store_result(trace.recipe, ooo_system(BASELINE_L1),
                        result_for(trace))
     names = [p.name for p in tmp_path.rglob("*") if p.is_file()]
     assert any(n.endswith(".result.pkl") for n in names)

@@ -30,7 +30,7 @@ from repro.sim.faults import FaultInjector
 from repro.sim.resilience import ResilientRunner
 from repro.sim.sweep import (SweepSpec, grid_cells, rows_from_store,
                              run_sweep)
-from repro.store import (ResultStore, cell_digest, job_id_for, job_status,
+from repro.store import (ResultStore, cell_identity, job_id_for, job_status,
                          list_jobs, load_job, release_claims, submit_job,
                          system_payload)
 from repro.workloads import generate_trace
@@ -64,13 +64,13 @@ def simulate_one(trace):
 
 def test_digest_stable_across_processes(trace):
     """The digest must not involve hash(); PYTHONHASHSEED can't move it."""
-    here = cell_digest(trace, ooo_system(BASELINE_L1))
+    here = cell_identity(trace.recipe, ooo_system(BASELINE_L1))
     script = (
         "from repro.workloads import generate_trace\n"
         "from repro.sim import BASELINE_L1, ooo_system\n"
-        "from repro.store import cell_digest\n"
+        "from repro.store import cell_identity\n"
         "t = generate_trace('gamess', 1000, seed=3)\n"
-        "print(cell_digest(t, ooo_system(BASELINE_L1)))\n")
+        "print(cell_identity(t.recipe, ooo_system(BASELINE_L1)))\n")
     for seed in ("0", "12345"):
         out = subprocess.run(
             [sys.executable, "-c", script], capture_output=True,
@@ -80,13 +80,13 @@ def test_digest_stable_across_processes(trace):
 
 
 def test_digest_distinguishes_configs_and_traces(trace):
-    base = cell_digest(trace, ooo_system(BASELINE_L1))
-    assert cell_digest(trace, ooo_system(
+    base = cell_identity(trace.recipe, ooo_system(BASELINE_L1))
+    assert cell_identity(trace.recipe, ooo_system(
         SIPT_GEOMETRIES["32K_2w"])) != base
     other = generate_trace("gamess", 1000, seed=4)
-    assert cell_digest(other, ooo_system(BASELINE_L1)) != base
-    assert cell_digest(trace, ooo_system(BASELINE_L1),
-                       conditions={"x": 1}) != base
+    assert cell_identity(other.recipe, ooo_system(BASELINE_L1)) != base
+    newer = trace.recipe._replace(version=trace.recipe.version + 1)
+    assert cell_identity(newer, ooo_system(BASELINE_L1)) != base
 
 
 def test_system_payload_is_full_config_with_enums_by_value():
@@ -102,7 +102,7 @@ def test_system_payload_is_full_config_with_enums_by_value():
 
 def test_result_round_trip_and_counters(tmp_path, trace):
     store = ResultStore(tmp_path)
-    digest = store.digest(trace, ooo_system(BASELINE_L1))
+    digest = store.digest(trace.recipe, ooo_system(BASELINE_L1))
     assert store.fetch_result(digest) is None
     assert store.misses == 1
     result = simulate_one(trace)
@@ -117,7 +117,7 @@ def test_result_round_trip_and_counters(tmp_path, trace):
 
 def test_store_result_is_idempotent(tmp_path, trace):
     store = ResultStore(tmp_path)
-    digest = store.digest(trace, ooo_system(BASELINE_L1))
+    digest = store.digest(trace.recipe, ooo_system(BASELINE_L1))
     result = simulate_one(trace)
     store.store_result(digest, result)
     store.store_result(digest, result)
@@ -126,7 +126,7 @@ def test_store_result_is_idempotent(tmp_path, trace):
 
 def test_corrupt_and_truncated_entries_are_misses(tmp_path, trace):
     store = ResultStore(tmp_path)
-    digest = store.digest(trace, ooo_system(BASELINE_L1))
+    digest = store.digest(trace.recipe, ooo_system(BASELINE_L1))
     store.store_result(digest, simulate_one(trace))
     store.result_path(digest).write_bytes(b"\x00 not a pickle")
     fresh = ResultStore(tmp_path)
@@ -141,7 +141,7 @@ def test_corrupt_and_truncated_entries_are_misses(tmp_path, trace):
 
 def test_wrong_typed_pickle_is_a_miss(tmp_path, trace):
     store = ResultStore(tmp_path)
-    digest = store.digest(trace, ooo_system(BASELINE_L1))
+    digest = store.digest(trace.recipe, ooo_system(BASELINE_L1))
     path = store.result_path(digest)
     path.parent.mkdir(parents=True)
     path.write_bytes(pickle.dumps({"not": "a SimResult"}))
@@ -150,7 +150,7 @@ def test_wrong_typed_pickle_is_a_miss(tmp_path, trace):
 
 def test_layout_version_skew_degrades_to_miss(tmp_path, trace):
     store = ResultStore(tmp_path)
-    digest = store.digest(trace, ooo_system(BASELINE_L1))
+    digest = store.digest(trace.recipe, ooo_system(BASELINE_L1))
     store.store_result(digest, simulate_one(trace))
     (tmp_path / "v1").rename(tmp_path / "v0")  # an old layout's entries
     assert ResultStore(tmp_path).fetch_result(digest) is None
@@ -177,7 +177,7 @@ def test_gc_evicts_lru_first(tmp_path):
     system = ooo_system(BASELINE_L1)
     digests = []
     for t in traces:
-        digest = store.digest(t, system)
+        digest = store.digest(t.recipe, system)
         store.store_result(digest, simulate_one(t))
         digests.append(digest)
     import os
@@ -196,7 +196,7 @@ def test_gc_evicts_lru_first(tmp_path):
 
 def test_gc_zero_cap_is_unbounded(tmp_path, trace):
     store = ResultStore(tmp_path, cap_bytes=0)
-    store.store_result(store.digest(trace, ooo_system(BASELINE_L1)),
+    store.store_result(store.digest(trace.recipe, ooo_system(BASELINE_L1)),
                        simulate_one(trace))
     assert store.gc() == (0, 0)
     assert store.total_bytes() > 0
@@ -215,7 +215,7 @@ def test_concurrent_writers_same_digest_are_benign(tmp_path, trace):
         try:
             store = ResultStore(tmp_path)
             for _ in range(20):
-                store.store_result(store.digest(trace, system), result)
+                store.store_result(store.digest(trace.recipe, system), result)
         except Exception as exc:  # pragma: no cover - the assertion
             errors.append(exc)
 
@@ -226,7 +226,7 @@ def test_concurrent_writers_same_digest_are_benign(tmp_path, trace):
         t.join()
     assert not errors
     got = ResultStore(tmp_path).fetch_result(
-        ResultStore(tmp_path).digest(trace, system))
+        ResultStore(tmp_path).digest(trace.recipe, system))
     assert got is not None and got.ipc == result.ipc
 
 
@@ -306,11 +306,9 @@ def test_missing_baseline_keeps_cell_cold(tmp_path, trace):
     run_sweep(spec, n_accesses=600, traces=TraceCache(), store=store)
     # Drop only the baseline entry; the sipt cell's hit is then useless
     # for the ratio columns and the whole row must recompute.
-    for _key, app, name, cfg, core, condition, seed in grid_cells(spec):
-        if name == "base":
-            t = TraceCache().get(app, 600, condition, seed)
-            store._discard(store.digest(
-                t, ooo_system(spec.configs["base"])))
+    for key, _recipe, _system in grid_cells(spec, 600):
+        if key["config"] == "base":
+            store._discard(key["cell"])
     runner = ResilientRunner()
     rows = run_sweep(spec, n_accesses=600, traces=TraceCache(),
                      runner=runner, store=ResultStore(tmp_path))
@@ -349,16 +347,12 @@ def test_ephemeral_store_tier_detaches_after_sweep(tmp_path):
 # ---------------------------------------------------------------------
 
 def grid_and_cells(spec, n_accesses, store):
-    from repro.sim import system_for
     grid = {"apps": spec.apps, "geometries": list(spec.configs),
             "baseline": spec.baseline, "cores": spec.cores,
             "conditions": [c.value for c in spec.conditions],
             "seeds": spec.seeds, "accesses": n_accesses}
-    traces = TraceCache()
-    cells = []
-    for key, app, name, cfg, core, condition, seed in grid_cells(spec):
-        t = traces.get(app, n_accesses, condition, seed)
-        cells.append((key, store.digest(t, system_for(core, cfg))))
+    cells = [(key, store.digest(recipe, system))
+             for key, recipe, system in grid_cells(spec, n_accesses)]
     return grid, cells
 
 
@@ -574,7 +568,7 @@ def test_gc_sweeps_aged_tmp_litter_only(tmp_path, trace):
     import os
     from repro.store.resultstore import TMP_MAX_AGE_S
     store = ResultStore(tmp_path, cap_bytes=10**9)
-    digest = store.digest(trace, ooo_system(BASELINE_L1))
+    digest = store.digest(trace.recipe, ooo_system(BASELINE_L1))
     store.store_result(digest, simulate_one(trace))
     old = store.result_path(digest).parent / "dead.result.pkl.123.tmp"
     old.write_bytes(b"partial")
@@ -591,7 +585,7 @@ def test_gc_sweeps_aged_tmp_litter_only(tmp_path, trace):
 
 def test_entries_and_size_skip_tmp_files(tmp_path, trace):
     store = ResultStore(tmp_path)
-    digest = store.digest(trace, ooo_system(BASELINE_L1))
+    digest = store.digest(trace.recipe, ooo_system(BASELINE_L1))
     store.store_result(digest, simulate_one(trace))
     (store.result_path(digest).parent / "x.tmp").write_bytes(b"junk")
     digests = [d for d, _ in store.entries()]

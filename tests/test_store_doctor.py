@@ -33,11 +33,11 @@ def entry_for(store, seed=7):
     trace = generate_trace("gamess", 600, seed=seed)
     system = ooo_system(BASELINE_L1)
     result = simulate(trace, system)
-    digest = store.digest(trace, system)
+    digest = store.digest(trace.recipe, system)
     store.store_result(digest, result, meta={"app": "gamess"})
     store.store_state(digest, render_checkpoint(
         state={}, position=len(trace), trace=trace,
-        system_name=system.name))
+        cell=digest))
     return digest
 
 

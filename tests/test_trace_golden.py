@@ -22,7 +22,8 @@ from repro.workloads.shared import (SHARING_KINDS, SharedWorkload,
                                     generate_shared_traces)
 from repro.workloads.spec import get_profile
 from repro.workloads.substrate import RAW_COLUMNS, columns_for
-from repro.workloads.trace import MemoryCondition, generate_trace
+from repro.workloads.trace import (GENERATOR_VERSION, MemoryCondition,
+                                   generate_trace)
 
 #: The six ``sweep-cold`` benchmark apps, plus one more app of each
 #: allocation style (thp_big, chunked, offset, scattered).
@@ -93,6 +94,23 @@ GOLDEN = {
     ("xalancbmk_17", "thp_off"):
         "948b8690d3d33b97d3df0670118a6b0bf57a4f38bb5e8ae0598d31d093b64d4c",
 }
+
+
+#: The ``GENERATOR_VERSION`` each state of :data:`GOLDEN` was blessed
+#: under, as a digest of the table. Journals, checkpoints and store
+#: entries are keyed by trace recipes that carry the version, so
+#: re-blessing a golden without bumping the version would let them
+#: serve results of the old traces: add the new version's digest here
+#: instead of editing an old one.
+BLESSED = {
+    1: "d7d37d8102c2c8710547e539531bb8f5b4b58286643d636c6933db5013ee5019",
+}
+
+
+def test_goldens_are_pinned_to_the_generator_version():
+    table = hashlib.sha256(repr(sorted(GOLDEN.items())).encode())
+    assert GENERATOR_VERSION == max(BLESSED)
+    assert table.hexdigest() == BLESSED[GENERATOR_VERSION]
 
 
 def memory_image_digest(trace) -> str:

@@ -45,16 +45,15 @@ def reference_rows(spec, n_accesses):
     traces = TraceCache()
     blank = {name: "" for name in FIELDS}
     rows = []
-    for _key, app, name, cfg, core, condition, seed in grid_cells(spec):
-        def run(l1):
-            return run_app(app, system_for(core, l1), condition=condition,
-                           n_accesses=n_accesses, seed=seed, cache=traces,
-                           warm_state=None)
-        base = (run(spec.configs[spec.baseline])
+    for key, recipe, system in grid_cells(spec, n_accesses):
+        def run(system):
+            return run_app(recipe.app, system, condition=recipe.condition,
+                           n_accesses=n_accesses, seed=recipe.seed,
+                           cache=traces, warm_state=None)
+        base = (run(system_for(system.core, spec.configs[spec.baseline]))
                 if spec.baseline is not None else None)
         rows.append({**blank,
-                     **_result_row(app, name, core, condition, seed,
-                                   run(cfg), base),
+                     **_result_row(key, run(system), base),
                      "status": "ok", "error": ""})
     return rows
 
@@ -86,11 +85,11 @@ def test_result_store_fetch_round_trip(trace, tmp_path):
     system = inorder_system(BASELINE_L1)
     result = simulate(trace, system)
     cache = WarmStateCache(ResultStore(tmp_path))
-    assert cache.fetch_result(trace, system) is None
-    cache.store_result(trace, system, result)
-    assert cache.fetch_result(trace, system) is result
+    assert cache.fetch_result(trace.recipe, system) is None
+    cache.store_result(trace.recipe, system, result)
+    assert cache.fetch_result(trace.recipe, system) is result
     twin = WarmStateCache(ResultStore(tmp_path))
-    got = twin.fetch_result(trace, system)
+    got = twin.fetch_result(trace.recipe, system)
     assert got is not None and got.ipc == result.ipc
 
 
@@ -98,14 +97,14 @@ def test_corrupt_published_files_are_misses(trace, tmp_path):
     system = inorder_system(BASELINE_L1)
     cache = WarmStateCache(ResultStore(tmp_path))
     result = simulate(trace, system, warm_state=cache)
-    cache.store_result(trace, system, result)
+    cache.store_result(trace.recipe, system, result)
     entries = [p for p in tmp_path.rglob("*") if p.is_file()]
     assert entries
     for path in entries:
         path.write_bytes(b"\x00 not a snapshot \x00")
     fresh = WarmStateCache(ResultStore(tmp_path))
     assert fresh.fetch(trace, system) is None
-    assert fresh.fetch_result(trace, system) is None
+    assert fresh.fetch_result(trace.recipe, system) is None
 
 
 def test_clear_drops_memory_not_files(trace, tmp_path):
@@ -126,8 +125,8 @@ def test_snapshot_in_memory_still_reaches_new_store_tier(trace, tmp_path):
     store = ResultStore(tmp_path)
     cache.result_store = store
     cache.store(trace, system, state)
-    assert store.fetch_state(store.digest(trace, system), trace=trace,
-                             system_name=system.name) is not None
+    assert store.fetch_state(store.digest(trace.recipe, system),
+                             trace=trace) is not None
 
 
 def test_warm_cache_for_binds_store_tier(tmp_path):
@@ -172,8 +171,8 @@ def test_same_named_configs_do_not_share_warm_entries(trace):
     assert plain.name == predicted.name  # the collision this test pins
     cache = WarmStateCache()
     result = simulate(trace, plain, warm_state=cache)
-    cache.store_result(trace, plain, result)
-    assert cache.fetch_result(trace, predicted) is None
+    cache.store_result(trace.recipe, plain, result)
+    assert cache.fetch_result(trace.recipe, predicted) is None
     assert cache.fetch(trace, predicted) is None
 
 
