@@ -7,58 +7,19 @@ checks that the two models agree on the conclusions: SIPT speeds up
 every app, big winners stay big, and memory-bound apps stay flat.
 """
 
-from dataclasses import replace
+from conftest import print_table
 
-from conftest import fmt, print_table
-
-from repro.sim import (
-    BASELINE_L1,
-    SIPT_GEOMETRIES,
-    harmonic_mean,
-    ooo_system,
-    run_app,
-)
-
-APPS = ["h264ref", "perlbench", "calculix", "gromacs", "libquantum",
-        "sjeng", "graph500", "mcf", "exchange2_17", "xalancbmk_17"]
-
-SIPT = SIPT_GEOMETRIES["32K_2w"]
+from repro.figures import CROSSMODEL, CROSSMODEL_APPS as APPS
+from repro.figures import column_means, compute
 
 
-def detailed_system(l1):
-    system = ooo_system(l1)
-    return replace(system, core="ooo-detailed",
-                   name=system.name.replace("ooo/", "ooo-detailed/"))
-
-
-def run_crossmodel(traces):
-    table = {}
-    for app in APPS:
-        row = {}
-        for label, factory in (("analytic", ooo_system),
-                               ("detailed", detailed_system)):
-            base = run_app(app, factory(BASELINE_L1), cache=traces)
-            sipt = run_app(app, factory(SIPT), cache=traces)
-            row[label] = sipt.speedup_over(base)
-            row[f"{label}_ipc"] = base.ipc
-        table[app] = row
-    return table
-
-
-def test_crossmodel(benchmark, traces):
-    table = benchmark.pedantic(run_crossmodel, args=(traces,),
+def test_crossmodel(benchmark, traces, store):
+    table = benchmark.pedantic(compute, args=(CROSSMODEL,),
+                               kwargs=dict(traces=traces, store=store),
                                rounds=1, iterations=1)
-    rows = [(app, fmt(table[app]["analytic_ipc"]),
-             fmt(table[app]["analytic"]),
-             fmt(table[app]["detailed_ipc"]),
-             fmt(table[app]["detailed"])) for app in APPS]
-    avg_a = harmonic_mean([table[a]["analytic"] for a in APPS])
-    avg_d = harmonic_mean([table[a]["detailed"] for a in APPS])
-    rows.append(("hmean", "", fmt(avg_a), "", fmt(avg_d)))
-    print_table("Cross-model check: SIPT speedup under analytic vs "
-                "dependence-graph cores",
-                ["app", "base IPC (analytic)", "speedup",
-                 "base IPC (detailed)", "speedup"], rows)
+    print_table(*CROSSMODEL.render(table))
+    avg_a, avg_d = column_means(table, ("analytic", "detailed"),
+                                apps=APPS).values()
 
     # Both models agree SIPT helps on average and never hurts much.
     assert avg_a > 1.0 and avg_d > 1.0

@@ -7,49 +7,17 @@ claims: the 32K/2-way 2-cycle configuration performs best on an OOO core
 latency.
 """
 
-from conftest import fmt, print_table
+from conftest import print_table
 
-from repro.core import IndexingScheme
-from repro.sim import (
-    BASELINE_L1,
-    L1_16K_4W_VIPT,
-    SIPT_GEOMETRIES,
-    harmonic_mean,
-    ooo_system,
-    run_app,
-)
-from repro.workloads import EVALUATED_APPS
+from repro.figures import FIG2, IDEAL_GRID, column_means, compute
 
 
-def config_grid():
-    ideal = {name: cfg.with_scheme(IndexingScheme.IDEAL)
-             for name, cfg in SIPT_GEOMETRIES.items()}
-    return {"16K_4w": L1_16K_4W_VIPT, **ideal}
-
-
-def run_fig2(traces):
-    grid = config_grid()
-    table = {}
-    for app in EVALUATED_APPS:
-        base = run_app(app, ooo_system(BASELINE_L1), cache=traces)
-        table[app] = {name: run_app(app, ooo_system(cfg),
-                                    cache=traces).speedup_over(base)
-                      for name, cfg in grid.items()}
-    return table
-
-
-def test_fig02_ipc_ooo(benchmark, traces):
-    table = benchmark.pedantic(run_fig2, args=(traces,),
+def test_fig02_ipc_ooo(benchmark, traces, store):
+    table = benchmark.pedantic(compute, args=(FIG2,),
+                               kwargs=dict(traces=traces, store=store),
                                rounds=1, iterations=1)
-    names = list(config_grid())
-    rows = [(app, *[fmt(table[app][n]) for n in names])
-            for app in EVALUATED_APPS]
-    averages = {n: harmonic_mean([table[app][n] for app in EVALUATED_APPS])
-                for n in names}
-    rows.append(("Average(hmean)", *[fmt(averages[n]) for n in names]))
-    print_table("Fig. 2: normalized IPC, OOO core (ideal caches). "
-                "Paper: 32K/2w best, +8.2% avg; 16K/4w -1.5% avg",
-                ["app", *names], rows)
+    print_table(*FIG2.render(table))
+    averages = column_means(table, IDEAL_GRID)
 
     # Shape claims: the low-latency 32K/2w config is the best performer
     # and clearly beats the baseline on average.

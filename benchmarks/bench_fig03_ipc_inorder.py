@@ -6,49 +6,17 @@ capacity matters more than on the OOO core — and the 16K/4-way cache is
 clearly worse than baseline (paper: -11.3%).
 """
 
-from conftest import fmt, print_table
+from conftest import print_table
 
-from repro.core import IndexingScheme
-from repro.sim import (
-    BASELINE_L1,
-    L1_16K_4W_VIPT,
-    SIPT_GEOMETRIES,
-    harmonic_mean,
-    inorder_system,
-    run_app,
-)
-from repro.workloads import EVALUATED_APPS
+from repro.figures import FIG3, IDEAL_GRID, column_means, compute
 
 
-def config_grid():
-    ideal = {name: cfg.with_scheme(IndexingScheme.IDEAL)
-             for name, cfg in SIPT_GEOMETRIES.items()}
-    return {"16K_4w": L1_16K_4W_VIPT, **ideal}
-
-
-def run_fig3(traces):
-    grid = config_grid()
-    table = {}
-    for app in EVALUATED_APPS:
-        base = run_app(app, inorder_system(BASELINE_L1), cache=traces)
-        table[app] = {name: run_app(app, inorder_system(cfg),
-                                    cache=traces).speedup_over(base)
-                      for name, cfg in grid.items()}
-    return table
-
-
-def test_fig03_ipc_inorder(benchmark, traces):
-    table = benchmark.pedantic(run_fig3, args=(traces,),
+def test_fig03_ipc_inorder(benchmark, traces, store):
+    table = benchmark.pedantic(compute, args=(FIG3,),
+                               kwargs=dict(traces=traces, store=store),
                                rounds=1, iterations=1)
-    names = list(config_grid())
-    rows = [(app, *[fmt(table[app][n]) for n in names])
-            for app in EVALUATED_APPS]
-    averages = {n: harmonic_mean([table[app][n] for app in EVALUATED_APPS])
-                for n in names}
-    rows.append(("Average(hmean)", *[fmt(averages[n]) for n in names]))
-    print_table("Fig. 3: normalized IPC, in-order core (ideal caches). "
-                "Paper: 64K/4w best, +13% avg; 16K/4w -11.3% avg",
-                ["app", *names], rows)
+    print_table(*FIG3.render(table))
+    averages = column_means(table, IDEAL_GRID)
 
     # Shape claims: capacity wins on the in-order core.
     best = max(averages, key=averages.get)

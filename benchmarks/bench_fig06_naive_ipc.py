@@ -10,49 +10,17 @@ Reproduced claims: lower associativity + shorter latency help many apps
 large gap to ideal.
 """
 
-from dataclasses import replace
+from conftest import print_table
 
-from conftest import fmt, print_table
-
-from repro.core import IndexingScheme, SiptVariant
-from repro.sim import (
-    BASELINE_L1,
-    SIPT_GEOMETRIES,
-    harmonic_mean,
-    ooo_system,
-    run_app,
-)
-from repro.workloads import EVALUATED_APPS
-
-NAIVE = replace(SIPT_GEOMETRIES["32K_2w"], variant=SiptVariant.NAIVE)
-IDEAL = SIPT_GEOMETRIES["32K_2w"].with_scheme(IndexingScheme.IDEAL)
+from repro.figures import FIG6, column_means, compute
 
 
-def run_fig6(traces):
-    table = {}
-    for app in EVALUATED_APPS:
-        base = run_app(app, ooo_system(BASELINE_L1), cache=traces)
-        naive = run_app(app, ooo_system(NAIVE), cache=traces)
-        ideal = run_app(app, ooo_system(IDEAL), cache=traces)
-        table[app] = {
-            "ipc": naive.speedup_over(base),
-            "ideal": ideal.speedup_over(base),
-            "extra": naive.additional_accesses_over(base),
-        }
-    return table
-
-
-def test_fig06_naive_ipc(benchmark, traces):
-    table = benchmark.pedantic(run_fig6, args=(traces,),
+def test_fig06_naive_ipc(benchmark, traces, store):
+    table = benchmark.pedantic(compute, args=(FIG6,),
+                               kwargs=dict(traces=traces, store=store),
                                rounds=1, iterations=1)
-    rows = [(app, fmt(table[app]["ipc"]), fmt(table[app]["ideal"]),
-             fmt(table[app]["extra"], 2)) for app in EVALUATED_APPS]
-    avg_ipc = harmonic_mean([table[a]["ipc"] for a in EVALUATED_APPS])
-    avg_ideal = harmonic_mean([table[a]["ideal"] for a in EVALUATED_APPS])
-    rows.append(("Average(hmean)", fmt(avg_ipc), fmt(avg_ideal), ""))
-    print_table("Fig. 6: naive SIPT 32K/2w/2c, OOO core",
-                ["app", "IPC vs base", "ideal IPC", "extra L1 accesses"],
-                rows)
+    print_table(*FIG6.render(table))
+    avg_ipc, avg_ideal = column_means(table, ("ipc", "ideal")).values()
 
     # Naive SIPT trails ideal on average: misspeculation hurts.
     assert avg_ipc < avg_ideal

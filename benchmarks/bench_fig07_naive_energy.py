@@ -9,53 +9,18 @@ gap to ideal (paper: 8.5%); hugepage-heavy apps (libquantum, GemsFDTD)
 are already at ideal.
 """
 
-from dataclasses import replace
+from conftest import print_table
 
-from conftest import fmt, print_table
-
-from repro.core import IndexingScheme, SiptVariant
-from repro.sim import (
-    BASELINE_L1,
-    SIPT_GEOMETRIES,
-    arithmetic_mean,
-    ooo_system,
-    run_app,
-)
-from repro.workloads import EVALUATED_APPS
-
-NAIVE = replace(SIPT_GEOMETRIES["32K_2w"], variant=SiptVariant.NAIVE)
-IDEAL = SIPT_GEOMETRIES["32K_2w"].with_scheme(IndexingScheme.IDEAL)
+from repro.figures import ENERGY_COLUMNS, FIG7, column_means, compute
+from repro.sim import arithmetic_mean
 
 
-def run_fig7(traces):
-    table = {}
-    for app in EVALUATED_APPS:
-        base = run_app(app, ooo_system(BASELINE_L1), cache=traces)
-        naive = run_app(app, ooo_system(NAIVE), cache=traces)
-        ideal = run_app(app, ooo_system(IDEAL), cache=traces)
-        table[app] = {
-            "energy": naive.energy_over(base),
-            "ideal": ideal.energy_over(base),
-            "dyn_sipt": naive.dynamic_energy_over(base),
-            "dyn_base": base.energy.dynamic / base.energy.total,
-        }
-    return table
-
-
-def test_fig07_naive_energy(benchmark, traces):
-    table = benchmark.pedantic(run_fig7, args=(traces,),
+def test_fig07_naive_energy(benchmark, traces, store):
+    table = benchmark.pedantic(compute, args=(FIG7,),
+                               kwargs=dict(traces=traces, store=store),
                                rounds=1, iterations=1)
-    rows = [(app, fmt(table[app]["energy"]), fmt(table[app]["ideal"]),
-             fmt(table[app]["dyn_sipt"]), fmt(table[app]["dyn_base"]))
-            for app in EVALUATED_APPS]
-    avgs = {key: arithmetic_mean([table[a][key] for a in EVALUATED_APPS])
-            for key in ("energy", "ideal", "dyn_sipt", "dyn_base")}
-    rows.append(("Average", *[fmt(avgs[k]) for k in
-                              ("energy", "ideal", "dyn_sipt", "dyn_base")]))
-    print_table("Fig. 7: cache-hierarchy energy, naive SIPT 32K/2w "
-                "(paper avg: 74.4% vs ideal 65.9%)",
-                ["app", "E/Ebase", "ideal E", "dynE SIPT", "dynE base"],
-                rows)
+    print_table(*FIG7.render(table))
+    avgs = column_means(table, ENERGY_COLUMNS, arithmetic_mean)
 
     # Naive SIPT saves energy overall but stays above ideal.
     assert avgs["energy"] < 0.95

@@ -9,50 +9,19 @@ baseline; the apps the paper names (h264ref, cactusADM, calculix,
 leela_17, exchange2_17, gromacs) gain more than 10%.
 """
 
-from conftest import fmt, print_table
+from conftest import print_table
 
-from repro.core import IndexingScheme
-from repro.sim import (
-    BASELINE_L1,
-    SIPT_GEOMETRIES,
-    harmonic_mean,
-    ooo_system,
-    run_app,
-)
+from repro.figures import FIG13, column_means, compute
+from repro.sim import harmonic_mean
 from repro.workloads import EVALUATED_APPS
 
-SIPT = SIPT_GEOMETRIES["32K_2w"]
-IDEAL = SIPT.with_scheme(IndexingScheme.IDEAL)
 
-
-def run_fig13(traces):
-    table = {}
-    for app in EVALUATED_APPS:
-        base = run_app(app, ooo_system(BASELINE_L1), cache=traces)
-        sipt = run_app(app, ooo_system(SIPT), cache=traces)
-        ideal = run_app(app, ooo_system(IDEAL), cache=traces)
-        table[app] = {
-            "ipc": sipt.speedup_over(base),
-            "ideal": ideal.speedup_over(base),
-            "extra": sipt.additional_accesses_over(base),
-            "fast": sipt.fast_fraction,
-        }
-    return table
-
-
-def test_fig13_sipt_ipc(benchmark, traces):
-    table = benchmark.pedantic(run_fig13, args=(traces,),
+def test_fig13_sipt_ipc(benchmark, traces, store):
+    table = benchmark.pedantic(compute, args=(FIG13,),
+                               kwargs=dict(traces=traces, store=store),
                                rounds=1, iterations=1)
-    rows = [(app, fmt(table[app]["ipc"]), fmt(table[app]["ideal"]),
-             fmt(table[app]["extra"], 2), fmt(table[app]["fast"], 2))
-            for app in EVALUATED_APPS]
-    avg = harmonic_mean([table[a]["ipc"] for a in EVALUATED_APPS])
-    avg_ideal = harmonic_mean([table[a]["ideal"] for a in EVALUATED_APPS])
-    rows.append(("Average(hmean)", fmt(avg), fmt(avg_ideal), "", ""))
-    print_table("Fig. 13: SIPT 32K/2w/2c with IDB, OOO core "
-                "(paper: +5.9% avg, 2.3% from ideal)",
-                ["app", "IPC vs base", "ideal IPC", "extra L1", "fast"],
-                rows)
+    print_table(*FIG13.render(table))
+    avg, avg_ideal = column_means(table, ("ipc", "ideal")).values()
 
     # SIPT improves on the baseline and sits close to ideal.
     assert avg > 1.0

@@ -8,51 +8,18 @@ Reproduced claims: SIPT+IDB approaches ideal energy (paper: within
 speculation adds some extra L1 accesses).
 """
 
-from conftest import fmt, print_table
+from conftest import print_table
 
-from repro.core import IndexingScheme
-from repro.sim import (
-    BASELINE_L1,
-    SIPT_GEOMETRIES,
-    arithmetic_mean,
-    ooo_system,
-    run_app,
-)
-from repro.workloads import EVALUATED_APPS
-
-SIPT = SIPT_GEOMETRIES["32K_2w"]
-IDEAL = SIPT.with_scheme(IndexingScheme.IDEAL)
+from repro.figures import ENERGY_COLUMNS, FIG14, column_means, compute
+from repro.sim import arithmetic_mean
 
 
-def run_fig14(traces):
-    table = {}
-    for app in EVALUATED_APPS:
-        base = run_app(app, ooo_system(BASELINE_L1), cache=traces)
-        sipt = run_app(app, ooo_system(SIPT), cache=traces)
-        ideal = run_app(app, ooo_system(IDEAL), cache=traces)
-        table[app] = {
-            "energy": sipt.energy_over(base),
-            "ideal": ideal.energy_over(base),
-            "dyn_sipt": sipt.dynamic_energy_over(base),
-            "dyn_base": base.energy.dynamic / base.energy.total,
-        }
-    return table
-
-
-def test_fig14_sipt_energy(benchmark, traces):
-    table = benchmark.pedantic(run_fig14, args=(traces,),
+def test_fig14_sipt_energy(benchmark, traces, store):
+    table = benchmark.pedantic(compute, args=(FIG14,),
+                               kwargs=dict(traces=traces, store=store),
                                rounds=1, iterations=1)
-    rows = [(app, fmt(table[app]["energy"]), fmt(table[app]["ideal"]),
-             fmt(table[app]["dyn_sipt"]), fmt(table[app]["dyn_base"]))
-            for app in EVALUATED_APPS]
-    avgs = {key: arithmetic_mean([table[a][key] for a in EVALUATED_APPS])
-            for key in ("energy", "ideal", "dyn_sipt", "dyn_base")}
-    rows.append(("Average", *[fmt(avgs[k]) for k in
-                              ("energy", "ideal", "dyn_sipt", "dyn_base")]))
-    print_table("Fig. 14: cache-hierarchy energy, SIPT 32K/2w + IDB "
-                "(paper: close to ideal, ~2.4% gap)",
-                ["app", "E/Ebase", "ideal E", "dynE SIPT", "dynE base"],
-                rows)
+    print_table(*FIG14.render(table))
+    avgs = column_means(table, ENERGY_COLUMNS, arithmetic_mean)
 
     # SIPT+IDB saves substantial energy and closes most of the gap to
     # ideal that naive SIPT left open.

@@ -8,63 +8,21 @@ and costs ~2% performance; on 2-way SIPT its accuracy rises (paper:
 97.3%) and the performance cost shrinks (paper: 0.3%).
 """
 
-from dataclasses import replace
+from conftest import print_table
 
-from conftest import fmt, print_table
-
-from repro.sim import (
-    BASELINE_L1,
-    SIPT_GEOMETRIES,
-    arithmetic_mean,
-    harmonic_mean,
-    ooo_system,
-    run_app,
-)
+from repro.figures import FIG16, column_means, compute
+from repro.sim import arithmetic_mean, harmonic_mean
 from repro.workloads import EVALUATED_APPS
 
-BASE_WP = replace(BASELINE_L1, way_prediction=True)
-SIPT = SIPT_GEOMETRIES["32K_2w"]
-SIPT_WP = replace(SIPT, way_prediction=True)
 
-
-def run_fig16(traces):
-    table = {}
-    for app in EVALUATED_APPS:
-        base = run_app(app, ooo_system(BASELINE_L1), cache=traces)
-        base_wp = run_app(app, ooo_system(BASE_WP), cache=traces)
-        sipt = run_app(app, ooo_system(SIPT), cache=traces)
-        sipt_wp = run_app(app, ooo_system(SIPT_WP), cache=traces)
-        table[app] = {
-            "base_wp": base_wp.speedup_over(base),
-            "base_wp_acc": base_wp.way_prediction_accuracy,
-            "sipt": sipt.speedup_over(base),
-            "sipt_wp": sipt_wp.speedup_over(base),
-            "sipt_wp_acc": sipt_wp.way_prediction_accuracy,
-        }
-    return table
-
-
-def test_fig16_waypred_ipc(benchmark, traces):
-    table = benchmark.pedantic(run_fig16, args=(traces,),
+def test_fig16_waypred_ipc(benchmark, traces, store):
+    table = benchmark.pedantic(compute, args=(FIG16,),
+                               kwargs=dict(traces=traces, store=store),
                                rounds=1, iterations=1)
-    rows = [(app, fmt(table[app]["base_wp"]),
-             fmt(table[app]["base_wp_acc"], 2),
-             fmt(table[app]["sipt"]), fmt(table[app]["sipt_wp"]),
-             fmt(table[app]["sipt_wp_acc"], 2))
-            for app in EVALUATED_APPS]
-    acc_base = arithmetic_mean([table[a]["base_wp_acc"]
-                                for a in EVALUATED_APPS])
-    acc_sipt = arithmetic_mean([table[a]["sipt_wp_acc"]
-                                for a in EVALUATED_APPS])
-    ipc_sipt = harmonic_mean([table[a]["sipt"] for a in EVALUATED_APPS])
-    ipc_sipt_wp = harmonic_mean([table[a]["sipt_wp"]
-                                 for a in EVALUATED_APPS])
-    rows.append(("Average", "", fmt(acc_base, 3), fmt(ipc_sipt),
-                 fmt(ipc_sipt_wp), fmt(acc_sipt, 3)))
-    print_table("Fig. 16: way prediction x SIPT (paper: 89% -> 97.3% "
-                "accuracy; <=0.3% IPC cost on SIPT)",
-                ["app", "base+WP IPC", "base WP acc", "SIPT IPC",
-                 "SIPT+WP IPC", "SIPT WP acc"], rows)
+    print_table(*FIG16.render(table))
+    acc_base, acc_sipt = column_means(
+        table, ("base_wp_acc", "sipt_wp_acc"), arithmetic_mean).values()
+    ipc_sipt, ipc_sipt_wp = column_means(table, ("sipt", "sipt_wp")).values()
 
     # Lower associativity makes MRU prediction much more accurate.
     assert acc_sipt > acc_base

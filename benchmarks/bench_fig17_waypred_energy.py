@@ -9,51 +9,19 @@ energy; SIPT alone already removes most of the dynamic-energy headroom
 percent more — but it does save, stably across applications.
 """
 
-from dataclasses import replace
+from conftest import print_table
 
-from conftest import fmt, print_table
-
-from repro.sim import (
-    BASELINE_L1,
-    SIPT_GEOMETRIES,
-    arithmetic_mean,
-    ooo_system,
-    run_app,
-)
-from repro.workloads import EVALUATED_APPS
-
-BASE_WP = replace(BASELINE_L1, way_prediction=True)
-SIPT = SIPT_GEOMETRIES["32K_2w"]
-SIPT_WP = replace(SIPT, way_prediction=True)
+from repro.figures import FIG17, column_means, compute
+from repro.sim import arithmetic_mean
 
 
-def run_fig17(traces):
-    table = {}
-    for app in EVALUATED_APPS:
-        base = run_app(app, ooo_system(BASELINE_L1), cache=traces)
-        table[app] = {
-            "base_wp": run_app(app, ooo_system(BASE_WP),
-                               cache=traces).energy_over(base),
-            "sipt": run_app(app, ooo_system(SIPT),
-                            cache=traces).energy_over(base),
-            "sipt_wp": run_app(app, ooo_system(SIPT_WP),
-                               cache=traces).energy_over(base),
-        }
-    return table
-
-
-def test_fig17_waypred_energy(benchmark, traces):
-    table = benchmark.pedantic(run_fig17, args=(traces,),
+def test_fig17_waypred_energy(benchmark, traces, store):
+    table = benchmark.pedantic(compute, args=(FIG17,),
+                               kwargs=dict(traces=traces, store=store),
                                rounds=1, iterations=1)
-    rows = [(app, fmt(table[app]["base_wp"]), fmt(table[app]["sipt"]),
-             fmt(table[app]["sipt_wp"])) for app in EVALUATED_APPS]
-    avgs = {k: arithmetic_mean([table[a][k] for a in EVALUATED_APPS])
-            for k in ("base_wp", "sipt", "sipt_wp")}
-    rows.append(("Average", fmt(avgs["base_wp"]), fmt(avgs["sipt"]),
-                 fmt(avgs["sipt_wp"])))
-    print_table("Fig. 17: cache energy with way prediction "
-                "(paper: base+WP -24%; SIPT+WP saves ~2.2% over SIPT)",
-                ["app", "base+WP", "SIPT", "SIPT+WP"], rows)
+    print_table(*FIG17.render(table))
+    avgs = column_means(table, ("base_wp", "sipt", "sipt_wp"),
+                        arithmetic_mean)
 
     # Way prediction helps the baseline substantially.
     assert avgs["base_wp"] < 0.95

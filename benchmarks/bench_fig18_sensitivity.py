@@ -14,74 +14,16 @@ page-bound for the 32K/2w OOO configuration) and IPC/energy move only
 slightly.
 """
 
-from dataclasses import replace
+from conftest import print_table
 
-from conftest import fmt, print_table
-
-from repro.sim import (
-    BASELINE_L1,
-    SIPT_GEOMETRIES,
-    arithmetic_mean,
-    harmonic_mean,
-    inorder_system,
-    ooo_system,
-    run_app,
-)
-from repro.workloads import MemoryCondition
-
-#: A representative subset keeps the 2-core x 4-condition x 4-geometry
-#: sweep tractable; it spans hugepage, chunked, offset, and scattered
-#: allocation styles.
-APPS = ["perlbench", "h264ref", "libquantum", "calculix", "gromacs",
-        "gcc", "sjeng", "graph500", "xalancbmk_17", "leela_17"]
-
-CONDITIONS = [
-    ("normal", MemoryCondition.NORMAL, False),
-    ("fragmented", MemoryCondition.FRAGMENTED, False),
-    ("thp-off", MemoryCondition.THP_OFF, False),
-    ("page-bound", MemoryCondition.NORMAL, True),
-]
+from repro.figures import FIG18, compute
 
 
-def run_fig18(traces):
-    table = {}
-    for core_name, sysf in (("ooo", ooo_system),
-                            ("inorder", inorder_system)):
-        for cond_name, condition, page_bound in CONDITIONS:
-            for geo_key, geo in SIPT_GEOMETRIES.items():
-                cfg = replace(geo, page_bound_idb=page_bound)
-                speedups, energies, accuracies = [], [], []
-                for app in APPS:
-                    base = run_app(app, sysf(BASELINE_L1),
-                                   condition=condition, cache=traces)
-                    sipt = run_app(app, sysf(cfg), condition=condition,
-                                   cache=traces)
-                    speedups.append(sipt.speedup_over(base))
-                    energies.append(sipt.energy_over(base))
-                    accuracies.append(sipt.outcomes.fast_fraction)
-                table[(core_name, cond_name, geo_key)] = {
-                    "ipc": harmonic_mean(speedups),
-                    "energy": arithmetic_mean(energies),
-                    "accuracy": arithmetic_mean(accuracies),
-                }
-    return table
-
-
-def test_fig18_sensitivity(benchmark, traces):
-    table = benchmark.pedantic(run_fig18, args=(traces,),
+def test_fig18_sensitivity(benchmark, traces, store):
+    table = benchmark.pedantic(compute, args=(FIG18,),
+                               kwargs=dict(traces=traces, store=store),
                                rounds=1, iterations=1)
-    rows = []
-    for core_name in ("ooo", "inorder"):
-        for cond_name, _, _ in CONDITIONS:
-            for geo_key in SIPT_GEOMETRIES:
-                cell = table[(core_name, cond_name, geo_key)]
-                rows.append((core_name, cond_name, geo_key,
-                             fmt(cell["ipc"]), fmt(cell["energy"]),
-                             fmt(cell["accuracy"], 3)))
-    print_table("Fig. 18: sensitivity to memory conditions "
-                "(IPC and energy vs same-condition baseline)",
-                ["core", "condition", "geometry", "IPC", "energy",
-                 "fast frac"], rows)
+    print_table(*FIG18.render(table))
 
     key = lambda cond: ("ooo", cond, "32K_2w")
     normal = table[key("normal")]

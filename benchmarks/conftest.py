@@ -1,4 +1,4 @@
-"""Shared fixtures and table-printing helpers for the benchmark suite.
+"""Shared fixtures for the benchmark suite (and its table helpers).
 
 Every benchmark regenerates one table or figure of the paper. Benchmarks
 run the experiment exactly once inside ``benchmark.pedantic`` (these are
@@ -7,7 +7,10 @@ plots, so `pytest benchmarks/ --benchmark-only -s` reproduces the
 evaluation section end to end.
 
 Traces are cached per (app, condition, length, seed) and shared across
-benchmark files through the session-scoped ``traces`` fixture.
+benchmark files through the session-scoped ``traces`` fixture. The
+grid-shaped figures run as sweeps (:mod:`repro.figures`) over the
+session-scoped ``store`` fixture, so figures that share cells simulate
+them once.
 """
 
 import os
@@ -17,6 +20,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from repro.figures import private_store  # noqa: E402
+from repro.report import fmt, print_table  # noqa: E402,F401 (bench files)
 from repro.sim import TraceCache  # noqa: E402
 
 
@@ -31,20 +36,10 @@ def traces():
     return TraceCache()
 
 
-def print_table(title, header, rows):
-    """Render one paper table/figure as an aligned text table."""
-    widths = [max(len(str(header[i])),
-                  max((len(str(row[i])) for row in rows), default=0))
-              for i in range(len(header))]
-    line = "  ".join(str(h).ljust(w) for h, w in zip(header, widths))
-    print()
-    print(f"=== {title} ===")
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-
-
-def fmt(value, digits=3):
-    """Format a float for table cells."""
-    return f"{value:.{digits}f}"
+@pytest.fixture(scope="session")
+def store():
+    """Session-wide private result store: a figure whose cells another
+    figure already ran (fig. 14 after fig. 13) reads them back instead
+    of simulating. Removed at session end."""
+    with private_store() as bound:
+        yield bound

@@ -16,6 +16,7 @@ Examples::
     python -m repro jobs submit --apps perlbench,mcf --baseline baseline
     python -m repro jobs run <id> --jobs 4   # execute the missing cells
     python -m repro jobs result <id> --out grid.csv
+    python -m repro figures --jobs 2 --engine kernel   # paper grids
     python -m repro mix --name mix0
     python -m repro designspace
     python -m repro validate --min-pass 6
@@ -452,6 +453,28 @@ def cmd_store(args) -> int:
     return 0
 
 
+def cmd_figures(args) -> int:
+    """`repro figures`: print every grid-shaped figure's table.
+
+    One runner, one trace cache and one result store serve every
+    figure (:mod:`repro.figures`), so a cell shared by two figures is
+    simulated once; with ``--store`` a rerun simulates nothing.
+    """
+    from .figures import FIGURES, compute, private_store
+    from .report import print_table
+    runner = _runner(args)
+    store = _store_from(args)
+    traces = TraceCache()
+    with private_store(store) as bound:
+        for figure in FIGURES:
+            print_table(*figure.render(compute(
+                figure, args.accesses, traces, runner, args.engine,
+                bound)))
+    if store is not None:
+        _store_report(store, runner)
+    return _finish(args, runner)
+
+
 def _spec_from_grid(grid: dict):
     """Rebuild ``(SweepSpec, accesses)`` from a job record's grid.
 
@@ -716,6 +739,15 @@ def build_parser() -> argparse.ArgumentParser:
                  "back to python per run when a config is outside the "
                  "kernel's envelope)")
 
+    def jobs_flag(p):
+        p.add_argument(
+            "--jobs", type=int, default=1, metavar="N",
+            help="run grid cells in N supervised worker processes "
+                 "(rows, journal, and --resume stay identical to "
+                 "serial; worker death costs one cell, not the "
+                 "sweep; attempt-level --inject kinds require "
+                 "jobs=1)")
+
     def resilience(p, with_journal=True):
         group = p.add_argument_group("resilience")
         if with_journal:
@@ -730,13 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--strict", action="store_true",
                 help=f"exit {EXIT_DEGRADED} if any cell degraded to an "
                      "error row")
-            group.add_argument(
-                "--jobs", type=int, default=1, metavar="N",
-                help="run grid cells in N supervised worker processes "
-                     "(rows, journal, and --resume stay identical to "
-                     "serial; worker death costs one cell, not the "
-                     "sweep; attempt-level --inject kinds require "
-                     "jobs=1)")
+            jobs_flag(group)
             group.add_argument(
                 "--max-cell-crashes", type=int, default=2, metavar="K",
                 help="quarantine a cell with status=crashed after its "
@@ -875,6 +901,15 @@ def build_parser() -> argparse.ArgumentParser:
              "the store is content-addressed and idempotent)")
     store_flag(doctor_p, default="")
 
+    figures_p = sub.add_parser(
+        "figures", help="print the paper's grid-shaped figure tables "
+                        "(figs. 2-18, cross-model) via sweeps")
+    figures_p.add_argument("--accesses", type=_positive_int,
+                           default=30_000)
+    engine(figures_p)
+    jobs_flag(figures_p)
+    store_flag(figures_p)
+
     mix_p = sub.add_parser("mix", help="simulate a Table III quad-core mix")
     common(mix_p)
     engine(mix_p)
@@ -992,6 +1027,7 @@ COMMANDS = {
     "sweep": cmd_sweep,
     "jobs": cmd_jobs,
     "store": cmd_store,
+    "figures": cmd_figures,
     "mix": cmd_mix,
     "bench": cmd_bench,
     "designspace": cmd_designspace,

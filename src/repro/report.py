@@ -24,6 +24,20 @@ def format_table(header: Sequence[str],
     return "\n".join(lines)
 
 
+def print_table(title: str, header: Sequence[str],
+                rows: Iterable[Sequence[object]]) -> None:
+    """Print one paper table: a blank line, ``=== title ===``, then
+    :func:`format_table` — the layout every figure table shares."""
+    print()
+    print(f"=== {title} ===")
+    print(format_table(header, rows))
+
+
+def fmt(value: float, digits: int = 3) -> str:
+    """Format a float for a table cell."""
+    return f"{value:.{digits}f}"
+
+
 def bar_chart(values: Dict[str, float], width: int = 50,
               baseline: Optional[float] = None,
               fmt: str = "{:.3f}", title: str = "") -> str:

@@ -31,7 +31,6 @@ from .experiment import (
     TraceCache,
     default_accesses,
     run_app,
-    run_suite,
 )
 from .executors import (
     CellOutcome,
@@ -44,7 +43,6 @@ from .executors import (
 from .faults import FaultInjector, FaultSpec, WorkerCrash, parse_fault
 from .resilience import ResilientRunner, RunnerStats, load_journal
 from .results import (
-    Comparison,
     SimResult,
     arithmetic_mean,
     harmonic_mean,
@@ -68,7 +66,6 @@ __all__ = [
     "parse_fault",
     "BASELINE_L1",
     "CoherentRunResult",
-    "Comparison",
     "L1Config",
     "L1_16K_4W_VIPT",
     "SHARED_TRACES",
@@ -95,7 +92,6 @@ __all__ = [
     "inorder_system",
     "ooo_system",
     "run_app",
-    "run_suite",
     "run_sweep",
     "simulate",
     "simulate_coherent",

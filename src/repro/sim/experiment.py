@@ -1,8 +1,8 @@
-"""Experiment harness: shared trace cache and suite runners.
+"""Experiment harness: the shared trace cache and the one-app runner.
 
-The benchmarks regenerate the paper's tables and figures by sweeping
-(app, system) pairs. Traces are expensive to build relative to replaying
-them, so this module memoizes them per (app, condition, length, seed).
+Experiments simulate (app, system) pairs. Traces are expensive to
+build relative to replaying them, so this module memoizes them per
+(app, condition, length, seed).
 
 The experiment length defaults to a laptop-friendly access count and can
 be scaled with the ``REPRO_ACCESSES`` environment variable.
@@ -11,11 +11,10 @@ be scaled with the ``REPRO_ACCESSES`` environment variable.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional
+from typing import Optional
 
 from ..envutil import env_int
 from ..errors import ConfigError, ReproError
-from ..workloads.spec import EVALUATED_APPS
 from ..workloads.trace import (MemoryCondition, Trace, TraceRecipe,
                                generate_trace)
 from .config import SystemConfig
@@ -148,16 +147,3 @@ def run_app(app: str, system: SystemConfig,
                         warm_state=warm_state, engine=engine)
     except ReproError as exc:
         raise exc.with_context(app=app, seed=seed)
-
-
-def run_suite(system: SystemConfig,
-              apps: Optional[Iterable[str]] = None,
-              condition: MemoryCondition = MemoryCondition.NORMAL,
-              n_accesses: Optional[int] = None, seed: int = 0,
-              cache: Optional[TraceCache] = None,
-              engine: str = "python") -> Dict[str, SimResult]:
-    """Simulate the (default 26-app) suite on one system."""
-    apps = list(apps) if apps is not None else list(EVALUATED_APPS)
-    return {app: run_app(app, system, condition, n_accesses, seed, cache,
-                         engine=engine)
-            for app in apps}

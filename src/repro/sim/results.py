@@ -102,29 +102,3 @@ def arithmetic_mean(values: Iterable[float]) -> float:
     if not values:
         raise ValueError("arithmetic_mean of empty sequence")
     return sum(values) / len(values)
-
-
-@dataclass
-class Comparison:
-    """Per-app metric plus the paper-style average row."""
-
-    per_app: Dict[str, float]
-    average: float
-
-    @classmethod
-    def speedups(cls, results: Dict[str, SimResult],
-                 baselines: Dict[str, SimResult]) -> "Comparison":
-        """Per-app speedup vs baseline, averaged with the harmonic mean
-        (the paper's convention for rate-like metrics)."""
-        per_app = {app: results[app].speedup_over(baselines[app])
-                   for app in results}
-        return cls(per_app=per_app, average=harmonic_mean(per_app.values()))
-
-    @classmethod
-    def energies(cls, results: Dict[str, SimResult],
-                 baselines: Dict[str, SimResult]) -> "Comparison":
-        """Per-app energy ratio vs baseline, arithmetically averaged."""
-        per_app = {app: results[app].energy_over(baselines[app])
-                   for app in results}
-        return cls(per_app=per_app,
-                   average=arithmetic_mean(per_app.values()))

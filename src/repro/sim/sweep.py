@@ -202,6 +202,8 @@ def _simulated(key: Dict[str, object], recipe: TraceRecipe,
                exchange: bool = False):
     """One run's result: memoized for a baseline run, else simulated.
 
+    ``key`` is the run's :func:`cell_key`; its ``cell`` identity keys
+    the warm cache, so nothing here digests the config again.
     ``baseline`` runs — a cell whose system is the baseline's, and
     every normalization run — read the warm cache first; on a miss
     they restore and snapshot warm state and keep their result in the
@@ -215,10 +217,11 @@ def _simulated(key: Dict[str, object], recipe: TraceRecipe,
     intentional and must never serve another cell.
     """
     faulted = _faults.any_armed()
+    cell = key["cell"]
     if baseline and not faulted:
-        result = warm.fetch_result(recipe, system)
+        result = warm.fetch_result(cell)
         if result is not None:
-            warm.store_result(recipe, system, result, meta=key)
+            warm.store_result(cell, result, meta=key)
             return result
     trace = (attach(source) if isinstance(source, TraceHandle)
              else source.of(recipe))
@@ -227,14 +230,13 @@ def _simulated(key: Dict[str, object], recipe: TraceRecipe,
                      resume_checkpoint=checkpoint_path, trace=trace,
                      warm_state=warm if baseline else None, engine=engine)
     if not faulted and (baseline or not exchange):
-        warm.store_result(recipe, system, result, meta=key,
-                          remember=baseline)
+        warm.store_result(cell, result, meta=key, remember=baseline)
     return result
 
 
 def _parallel_cell(key: Dict[str, object], recipe: TraceRecipe,
                    system: SystemConfig,
-                   baseline: Optional[Tuple[str, L1Config]],
+                   base: Optional[Tuple[Dict[str, object], SystemConfig]],
                    checkpoint_every: Optional[int],
                    checkpoint_path: Optional[Path],
                    source: Union[TraceHandle, TraceCache],
@@ -248,30 +250,29 @@ def _parallel_cell(key: Dict[str, object], recipe: TraceRecipe,
     ``--jobs N``, the sweep's :class:`TraceCache` when serial. ``store``
     is bound as the process warm cache's store tier; ``exchange`` marks
     it as a storeless sweep's ephemeral baseline exchange (see
-    :func:`_simulated`). ``baseline`` is the spec's ``(name, config)``
-    normalization target, or ``None``. Everything is deterministic, so
-    the row is identical whichever process ran it — including under
+    :func:`_simulated`). ``base`` is the ``(key, system)`` of the
+    cell's normalization run (the spec's baseline config on this
+    cell's trace and core), or ``None``. Everything is deterministic,
+    so the row is identical whichever process ran it — including under
     checkpointing, where ``checkpoint_path`` doubles as the resume
     source (a missing file just means a fresh start).
     """
     try:
         warm = warm_cache_for(store)
-        base_system = (system_for(system.core, baseline[1])
-                       if baseline is not None else None)
         result = _simulated(key, recipe, system, source, warm, engine,
-                            baseline=system == base_system,
+                            baseline=(base is not None
+                                      and key["cell"] == base[0]["cell"]),
                             checkpoint_every=checkpoint_every,
                             checkpoint_path=checkpoint_path,
                             exchange=exchange)
-        base = None
-        if base_system is not None:
-            base = _simulated(cell_key(baseline[0], recipe, base_system),
-                              recipe, base_system, source, warm, engine,
-                              baseline=True)
+        base_result = None
+        if base is not None:
+            base_result = _simulated(base[0], recipe, base[1], source, warm,
+                                     engine, baseline=True)
     except ReproError as exc:
         raise exc.with_context(app=recipe.app, config=key["config"],
                                seed=recipe.seed)
-    return _result_row(key, result, base)
+    return _result_row(key, result, base_result)
 
 
 def _stored_rows(spec: SweepSpec, n_accesses: Optional[int],
@@ -407,10 +408,20 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
                 spec, n_accesses, store, skip=runner.completed_ok)):
             if row is not None:
                 hits[i] = runner.record_hit(key, row)
-    baseline = ((spec.baseline, spec.configs[spec.baseline])
-                if spec.baseline is not None else None)
     cells = [cell for i, cell in enumerate(grid_cells(spec, n_accesses))
              if i not in hits]
+    # Each (trace, core) group's normalization run: its key (and so its
+    # cell identity) is derived once per group, not once per cell.
+    bases: Dict[tuple, Tuple[Dict[str, object], SystemConfig]] = {}
+    if spec.baseline is not None:
+        for key, recipe, system in cells:
+            group = (recipe, system.core)
+            if group not in bases:
+                base_system = system_for(system.core,
+                                         spec.configs[spec.baseline])
+                bases[group] = (key if key["config"] == spec.baseline
+                                else cell_key(spec.baseline, recipe,
+                                              base_system), base_system)
     handles: Dict[tuple, TraceHandle] = {}
     tier = store
     trace_store: Optional[TraceStore] = None
@@ -424,12 +435,12 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
                     r.app, r.condition.value, r.seed)):
                 handles[recipe] = trace_store.publish(traces.of(recipe),
                                                       key=recipe)
-            if tier is None and baseline is not None:
+            if tier is None and spec.baseline is not None:
                 exchange = tempfile.mkdtemp(prefix="repro-warm-")
                 tier = ResultStore(exchange)
         tasks = [(key, partial(
-            _parallel_cell, key, recipe, system, baseline,
-            checkpoint_every,
+            _parallel_cell, key, recipe, system,
+            bases.get((recipe, system.core)), checkpoint_every,
             (checkpoint_path_for(runner.checkpoint_dir, key)
              if checkpoint_every else None),
             handles.get(recipe, traces), tier,

@@ -59,8 +59,9 @@ identical bytes.
 On top of state snapshots the cache memoizes finished
 :class:`~repro.sim.results.SimResult` objects
 (:meth:`WarmStateCache.fetch_result` / :meth:`~WarmStateCache.
-store_result`), keyed by cell identity alone, so they are found
-without a trace: restoring a state snapshot still pays for building a
+store_result`), keyed by the cell identity the caller already holds
+(a sweep cell key's ``cell``), so they are found without a trace or
+another digest: restoring a state snapshot still pays for building a
 fresh simulation context, but a sweep's baseline runs only need the
 result, which pickles and loads in well under a millisecond, so they
 read it first.
@@ -160,45 +161,45 @@ class WarmStateCache:
         if self.result_store is not None:
             self.result_store.store_state(key, text)
 
-    def fetch_result(self, recipe, system) -> Optional[SimResult]:
-        """The memoized finished result for this cell, or ``None``.
+    def fetch_result(self, cell: Optional[str]) -> Optional[SimResult]:
+        """The memoized finished result for cell identity ``cell``, or
+        ``None``.
 
-        Same two-tier lookup and same cell-identity key as
-        :meth:`fetch`, but returning the :class:`SimResult` directly —
-        no trace, no context rebuild. A store entry that is unreadable
-        or of the wrong type is a miss, never an error; so is a
-        ``None`` recipe.
+        Same two-tier lookup as :meth:`fetch`, but keyed by the
+        caller's identity (a sweep cell key's ``cell``) and returning
+        the :class:`SimResult` directly — no trace, no context rebuild,
+        no digest. A store entry that is unreadable or of the wrong
+        type is a miss, never an error; so is a ``None`` identity (a
+        trace without a recipe).
         """
-        key = cell_identity(recipe, system) if recipe is not None else None
-        result = self._results.get(key)
-        if result is None and key and self.result_store is not None:
-            result = self.result_store.fetch_result(key)
+        result = self._results.get(cell)
+        if result is None and cell and self.result_store is not None:
+            result = self.result_store.fetch_result(cell)
         if result is None:
             self.misses += 1
             return None
-        self._remember(self._results, key, result)
+        self._remember(self._results, cell, result)
         self.hits += 1
         return result
 
-    def store_result(self, recipe, system, result: SimResult,
+    def store_result(self, cell: Optional[str], result: SimResult,
                      meta: Optional[Dict[str, Any]] = None,
                      remember: bool = True) -> None:
-        """Publish a finished result for this cell's siblings.
+        """Publish a finished result under cell identity ``cell``.
 
         ``remember`` keeps it in the in-memory tier; the store tier
         (when bound) always receives it, with ``meta`` as its
         provenance sidecar. The store publish is idempotent, so a
         result already in memory still reaches a newly bound store.
-        A ``None`` recipe publishes nothing.
+        A ``None`` identity publishes nothing.
         """
-        if recipe is None:
+        if cell is None:
             return
-        key = cell_identity(recipe, system)
-        if remember and key not in self._results:
-            self._remember(self._results, key, result)
+        if remember and cell not in self._results:
+            self._remember(self._results, cell, result)
             self.stores += 1
         if self.result_store is not None:
-            self.result_store.store_result(key, result, meta=meta)
+            self.result_store.store_result(cell, result, meta=meta)
 
     def clear(self) -> None:
         """Drop the in-memory tier (store entries are left alone)."""

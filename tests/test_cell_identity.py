@@ -164,15 +164,15 @@ def test_trace_without_recipe_never_enters_memo_or_store(tmp_path):
     store = ResultStore(tmp_path)
     cache = WarmStateCache(store)
     result = simulate(bare, system, warm_state=cache)
-    cache.store_result(bare.recipe, system, result)
+    cache.store_result(None, result)
     assert cache.stores == 0 and not list(store.entries())
     # The recipe trace of the same content publishes, and still the
     # bare one never reads it back.
     simulate(trace, system, warm_state=cache)
-    cache.store_result(trace.recipe, system, result)
+    cache.store_result(cell_identity(trace.recipe, system), result)
     assert cache.fetch(trace, system) is not None
     assert cache.fetch(bare, system) is None
-    assert cache.fetch_result(bare.recipe, system) is None
+    assert cache.fetch_result(None) is None
 
 
 def test_only_none_resolves_to_the_default_length(monkeypatch):

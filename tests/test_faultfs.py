@@ -26,7 +26,7 @@ from repro.sim import BASELINE_L1, ooo_system
 from repro.sim.checkpoint import load_checkpoint
 from repro.sim.resilience import ResilientRunner
 from repro.sim.warmstate import WarmStateCache
-from repro.store import ResultStore
+from repro.store import ResultStore, cell_identity
 from repro.workloads import generate_trace
 
 
@@ -238,19 +238,18 @@ def test_warmstate_publish_failure_is_counted(tmp_path, trace,
     store = ResultStore(tmp_path / "store")
     cache = WarmStateCache(store)
     arm("io_error@0x0")
-    cache.store_result(trace.recipe, ooo_system(BASELINE_L1),
-                       result_for(trace))
+    cell = cell_identity(trace.recipe, ooo_system(BASELINE_L1))
+    cache.store_result(cell, result_for(trace))
     assert store.write_failures == 1
     # The in-memory tier still serves the result.
-    assert cache.fetch_result(trace.recipe,
-                              ooo_system(BASELINE_L1)) is not None
+    assert cache.fetch_result(cell) is not None
 
 
 def test_warmstate_result_tmp_files_carry_tmp_suffix(tmp_path, trace):
     """The store-tier publish goes through atomic_write_bytes, so an
     orphaned temp file is visible to the store litter sweep."""
     cache = WarmStateCache(ResultStore(tmp_path))
-    cache.store_result(trace.recipe, ooo_system(BASELINE_L1),
+    cache.store_result(cell_identity(trace.recipe, ooo_system(BASELINE_L1)),
                        result_for(trace))
     names = [p.name for p in tmp_path.rglob("*") if p.is_file()]
     assert any(n.endswith(".result.pkl") for n in names)

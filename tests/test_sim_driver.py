@@ -12,7 +12,6 @@ from repro.sim import (
     inorder_system,
     ooo_system,
     run_app,
-    run_suite,
     simulate,
     simulate_multicore,
 )
@@ -89,13 +88,6 @@ def test_energy_reduced_by_sipt():
     sipt = run_app("perlbench", ooo_system(cfg), n_accesses=N, cache=CACHE)
     # 2-way arrays at 0.10 nJ vs 8-way at 0.38 nJ: large dynamic saving.
     assert sipt.energy_over(base) < 0.95
-
-
-def test_run_suite_covers_requested_apps():
-    apps = ["povray", "gamess"]
-    results = run_suite(ooo_system(BASELINE_L1), apps=apps, n_accesses=N,
-                        cache=CACHE)
-    assert sorted(results) == sorted(apps)
 
 
 def test_multicore_shares_llc():

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.sim import BASELINE_L1, TraceCache, default_accesses, ooo_system
-from repro.sim.experiment import run_app, run_suite
+from repro.sim.experiment import run_app
 from repro.workloads import MemoryCondition
 
 
@@ -40,12 +40,3 @@ def test_run_app_uses_provided_cache():
             cache=cache)
     assert cache.get("povray", 1000) is not None
     assert len(cache._traces) == 1
-
-
-def test_run_suite_subset_and_order():
-    cache = TraceCache()
-    results = run_suite(ooo_system(BASELINE_L1),
-                        apps=["gamess", "povray"], n_accesses=800,
-                        cache=cache)
-    assert list(results) == ["gamess", "povray"]
-    assert all(r.ipc > 0 for r in results.values())

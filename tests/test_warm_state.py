@@ -18,7 +18,7 @@ from repro.sim.resilience import ResilientRunner
 from repro.sim.sweep import (FIELDS, SweepSpec, _result_row, grid_cells,
                              run_sweep)
 from repro.sim.warmstate import WarmStateCache, warm_cache_for
-from repro.store import ResultStore
+from repro.store import ResultStore, cell_identity
 from repro.workloads import generate_trace
 
 
@@ -84,12 +84,13 @@ def test_state_store_fetch_round_trip(trace, tmp_path):
 def test_result_store_fetch_round_trip(trace, tmp_path):
     system = inorder_system(BASELINE_L1)
     result = simulate(trace, system)
+    cell = cell_identity(trace.recipe, system)
     cache = WarmStateCache(ResultStore(tmp_path))
-    assert cache.fetch_result(trace.recipe, system) is None
-    cache.store_result(trace.recipe, system, result)
-    assert cache.fetch_result(trace.recipe, system) is result
+    assert cache.fetch_result(cell) is None
+    cache.store_result(cell, result)
+    assert cache.fetch_result(cell) is result
     twin = WarmStateCache(ResultStore(tmp_path))
-    got = twin.fetch_result(trace.recipe, system)
+    got = twin.fetch_result(cell)
     assert got is not None and got.ipc == result.ipc
 
 
@@ -97,14 +98,14 @@ def test_corrupt_published_files_are_misses(trace, tmp_path):
     system = inorder_system(BASELINE_L1)
     cache = WarmStateCache(ResultStore(tmp_path))
     result = simulate(trace, system, warm_state=cache)
-    cache.store_result(trace.recipe, system, result)
+    cache.store_result(cell_identity(trace.recipe, system), result)
     entries = [p for p in tmp_path.rglob("*") if p.is_file()]
     assert entries
     for path in entries:
         path.write_bytes(b"\x00 not a snapshot \x00")
     fresh = WarmStateCache(ResultStore(tmp_path))
     assert fresh.fetch(trace, system) is None
-    assert fresh.fetch_result(trace.recipe, system) is None
+    assert fresh.fetch_result(cell_identity(trace.recipe, system)) is None
 
 
 def test_clear_drops_memory_not_files(trace, tmp_path):
@@ -171,8 +172,8 @@ def test_same_named_configs_do_not_share_warm_entries(trace):
     assert plain.name == predicted.name  # the collision this test pins
     cache = WarmStateCache()
     result = simulate(trace, plain, warm_state=cache)
-    cache.store_result(trace.recipe, plain, result)
-    assert cache.fetch_result(trace.recipe, predicted) is None
+    cache.store_result(cell_identity(trace.recipe, plain), result)
+    assert cache.fetch_result(cell_identity(trace.recipe, predicted)) is None
     assert cache.fetch(trace, predicted) is None
 
 
