@@ -17,8 +17,8 @@ configurations and reports accuracy.
 from conftest import fmt, print_table
 
 from repro.core import CounterBypassPredictor, PerceptronPredictor
-from repro.mem import index_bits
 from repro.workloads import EVALUATED_APPS
+from repro.workloads.substrate import columns_for
 
 N_BITS = 2
 
@@ -33,13 +33,11 @@ PREDICTORS = {
 
 def replay_accuracy(trace, make_predictor):
     predictor = make_predictor()
-    translate = trace.process.translate
+    delta = columns_for(trace).index_delta
+    truth = ((delta & ((1 << N_BITS) - 1)) == 0).tolist()
     correct = 0
     n = len(trace.va)
-    for pc, va in zip(trace.pc, trace.va):
-        pc, va = int(pc), int(va)
-        unchanged = (index_bits(va, N_BITS)
-                     == index_bits(translate(va), N_BITS))
+    for pc, unchanged in zip(trace.pc.tolist(), truth):
         if predictor.predict(pc) == unchanged:
             correct += 1
         predictor.update(pc, unchanged)

@@ -13,21 +13,17 @@ gromacs) have minority fast accesses even with one speculative bit.
 
 from conftest import fmt, print_table
 
-from repro.mem import index_bits
 from repro.workloads import EVALUATED_APPS, LOW_SPECULATION_APPS
+from repro.workloads.substrate import columns_for
 
 
 def speculation_profile(trace):
-    counts = {1: 0, 2: 0, 3: 0}
-    translate = trace.process.translate
-    for va in trace.va:
-        va = int(va)
-        pa = translate(va)
-        for bits in counts:
-            if index_bits(va, bits) == index_bits(pa, bits):
-                counts[bits] += 1
-    n = len(trace.va)
-    return {bits: count / n for bits, count in counts.items()}
+    """Per bit count, the fraction of accesses whose low index bits
+    survive translation (``index_delta`` zero under the mask)."""
+    delta = columns_for(trace).index_delta
+    n = len(delta)
+    return {bits: int(((delta & ((1 << bits) - 1)) == 0).sum()) / n
+            for bits in (1, 2, 3)}
 
 
 def run_fig5(traces):

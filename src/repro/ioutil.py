@@ -92,7 +92,7 @@ def io_guard(op: str, path: Union[str, Path] = "", *,
     """Consult the fault plan for an operation the caller performs.
 
     The hook for best-effort writers that manage their own file I/O
-    (journal appends, watchdog heartbeats, ``os.utime`` refreshes):
+    (journal appends, ``os.utime`` refreshes):
     call this first, then do the real write. Injected transient faults
     are retried with the same backoff as the full helpers; a
     persistent injected fault raises :class:`OSError` for the caller's
@@ -200,8 +200,8 @@ def atomic_write_text(path: Union[str, Path], text: str,
         Force the temp file to disk before the rename (the default —
         without it a power loss can leave an empty renamed file on some
         filesystems). Pass ``False`` for high-frequency, low-value
-        artifacts like watchdog heartbeats where a lost update is
-        harmless and the sync cost is not.
+        artifacts like periodic checkpoint snapshots, where the next
+        write supersedes a lost update but every sync costs latency.
     retries:
         Transient-error retry budget (default
         :data:`DEFAULT_IO_RETRIES`).

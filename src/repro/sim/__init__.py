@@ -20,7 +20,6 @@ from .bench import (
 from .checkpoint import (
     checkpoint_path_for,
     load_checkpoint,
-    read_heartbeat,
     trace_identity,
     write_checkpoint,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "check_regression",
     "checkpoint_path_for",
     "load_checkpoint",
-    "read_heartbeat",
     "trace_identity",
     "write_checkpoint",
     "default_accesses",

@@ -43,11 +43,11 @@ The content-addressed result store (``repro.store``,
 verification, same fail-closed stance, except the store downgrades a
 failed verification to a cache miss instead of raising.
 
-Alongside each checkpoint lives a **watchdog heartbeat**
-(``<ckpt>.heartbeat``), rewritten after every replay chunk with the
-current access position. :func:`repro.sim.executors.call_with_timeout`
-uses it to distinguish a slow cell (position advancing — deadline keeps
-extending) from a hung one (no progress for ``timeout_s`` — fires).
+The snapshot file doubles as the cell's progress signal:
+:func:`repro.sim.executors.call_with_timeout` watches it, and every
+periodic write replaces it with a new inode, which tells a slow cell
+(snapshot still being rewritten — deadline keeps extending) from a
+hung one (no new snapshot for ``timeout_s`` — fires).
 """
 
 from __future__ import annotations
@@ -264,71 +264,3 @@ def checkpoint_path_for(directory: Union[str, Path],
     readable = "-".join(str(key[k]) for k in sorted(key))
     readable = _SAFE_NAME.sub("_", readable)[:80].strip("-_") or "cell"
     return Path(directory) / f"ckpt-{readable}-{tag}.json"
-
-
-# ---------------------------------------------------------------------
-# Watchdog heartbeat
-# ---------------------------------------------------------------------
-
-def heartbeat_path(checkpoint_path: Union[str, Path]) -> Path:
-    """The heartbeat file written alongside a checkpoint."""
-    return Path(str(checkpoint_path) + ".heartbeat")
-
-
-def write_heartbeat(path: Union[str, Path], position: int) -> None:
-    """Record replay progress for the parent's watchdog.
-
-    A plain overwrite, deliberately *not* the atomic temp-file dance:
-    this runs after every replay chunk, the payload is one short line
-    (far below a pipe-atomic write), and the reader treats anything
-    unparseable as "no progress observed" — so the worst possible
-    outcome of a torn write is one missed beat, which the watchdog
-    absorbs by design. Checkpoints, whose loss *does* matter, keep the
-    atomic path. Beats are best-effort end to end: an I/O failure
-    (real or injected through the :func:`repro.ioutil.io_guard` hook)
-    is silently dropped — the watchdog reads a missed beat as "no
-    progress observed" and stays conservative.
-    """
-    try:
-        ioutil.io_guard("heartbeat", path)
-        with open(path, "w") as handle:
-            handle.write(_canonical({"position": position}))
-    except OSError:
-        pass
-
-
-def read_heartbeat(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
-    """Read a heartbeat; returns ``None`` when absent or unparseable.
-
-    Garbage is treated as "no progress observed", never an error — the
-    watchdog must stay conservative when racing the writer.
-    """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def sweep_stale_heartbeats(directory: Union[str, Path]) -> int:
-    """Delete every ``*.heartbeat`` file under ``directory``.
-
-    Heartbeats are scratch state for the in-flight watchdog: a worker
-    that exits cleanly removes its own, but a SIGKILLed worker cannot,
-    and a leaked beat would make the *next* run's watchdog misread
-    stale progress. The runner calls this when a run finishes
-    (``ResilientRunner.close()``), at which point no cell is in flight
-    and every surviving heartbeat is by definition stale. Returns the
-    number of files removed; missing files and races are ignored.
-    """
-    removed = 0
-    root = Path(directory)
-    if not root.is_dir():
-        return 0
-    for beat in root.glob("*.heartbeat"):
-        try:
-            beat.unlink()
-            removed += 1
-        except OSError:
-            pass
-    return removed

@@ -57,11 +57,9 @@ from . import faults as _faults
 from ..ioutil import atomic_write_text
 from ..store.resultstore import cell_identity
 from .checkpoint import (
-    heartbeat_path,
     load_checkpoint,
     render_checkpoint,
     trace_identity,
-    write_heartbeat,
 )
 from .config import SystemConfig
 from .results import SimResult
@@ -425,16 +423,18 @@ def _replay_chunked(ctx: _CoreContext, replay: Callable,
     checkpoint grid, and (under fault injection) the armed crash
     ordinal; with none of them set the trace is one ``replay(ctx, 0,
     n)`` call. Between chunks the loop samples intervals on interval
-    boundaries (plus once for a trailing partial interval), writes a
-    digest-protected snapshot on checkpoint boundaries, and refreshes
-    the watchdog heartbeat, so per-access cost is the replayer's own
-    (docs/observability.md quantifies the sampling overhead). Because
+    boundaries (plus once for a trailing partial interval) and writes a
+    digest-protected snapshot on checkpoint boundaries, so per-access
+    cost is the replayer's own (docs/observability.md quantifies the
+    sampling overhead). Each snapshot replaces the file atomically,
+    and that rewrite is also what the ``--timeout`` watchdog reads as
+    progress (:func:`~repro.sim.executors.call_with_timeout`). Because
     every component restores in place, a resumed run's remaining
     chunks are byte-identical to an uninterrupted run's.
 
-    On completion the snapshot and heartbeat are deleted: a finished
-    cell must not look "resumable" to the runner, and a later re-run of
-    the same cell must start from access 0.
+    On completion the snapshot is deleted: a finished cell must not
+    look "resumable" to the runner, and a later re-run of the same cell
+    must start from access 0.
     """
     sampler = None
     if interval:
@@ -464,8 +464,6 @@ def _replay_chunked(ctx: _CoreContext, replay: Callable,
             ctx.load_state_dict(payload["state"])
             if sampler is not None:
                 sampler.load_state_dict(payload["sampler"])
-    heartbeat = (heartbeat_path(checkpoint_path)
-                 if checkpoint_path is not None else None)
     identity = None   # trace fingerprint, computed once on first write
     # One-slot background writer: rendering a snapshot must happen
     # synchronously (the state dict mirrors the live simulation), but
@@ -497,7 +495,8 @@ def _replay_chunked(ctx: _CoreContext, replay: Callable,
                 # Persistent I/O failure (the atomic write already
                 # retried transients): degrade this cell to
                 # checkpointless with one warning. The simulation is
-                # unaffected — it just loses mid-trace resumability.
+                # unaffected — it just loses mid-trace resumability,
+                # and the watchdog loses its progress signal.
                 checkpoint_every = None
                 print(f"[checkpoint] write to {checkpoint_path} "
                       f"failed ({exc}); degraded: continuing without "
@@ -541,8 +540,6 @@ def _replay_chunked(ctx: _CoreContext, replay: Callable,
                                           args=(text,), daemon=True,
                                           name="ckpt-writer")
                 writer.start()
-            if heartbeat is not None:
-                write_heartbeat(heartbeat, end)
             start = end
     finally:
         if writer is not None:
@@ -557,11 +554,10 @@ def _replay_chunked(ctx: _CoreContext, replay: Callable,
     if sampler is not None:
         ctx.intervals = sampler.records
     if checkpoint_path is not None:
-        for stale in (Path(checkpoint_path), heartbeat):
-            try:
-                stale.unlink()
-            except OSError:
-                pass
+        try:
+            Path(checkpoint_path).unlink()
+        except OSError:
+            pass
 
 
 def _check_engine(engine: str) -> None:

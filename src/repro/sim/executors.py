@@ -65,7 +65,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, \
     Sequence, Tuple
 
 from ..errors import CellTimeout, ConfigError, TransientError
-from .checkpoint import read_heartbeat
 from .faults import arm_data_specs, clear_armed
 
 #: Row statuses an executor can produce.
@@ -90,22 +89,35 @@ class RetryPolicy:
         return self.backoff_s * (self.backoff_factor ** (attempt - 1))
 
 
+def _file_stamp(path: Path) -> Optional[Tuple[int, int]]:
+    """``(st_ino, st_mtime_ns)`` of ``path``, or ``None`` if absent."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_ino, st.st_mtime_ns
+
+
 def call_with_timeout(fn: Callable[[], Dict[str, Any]],
                       key: Dict[str, Any],
                       timeout_s: Optional[float],
-                      heartbeat: Optional[Path] = None) -> Dict[str, Any]:
+                      checkpoint: Optional[Path] = None) -> Dict[str, Any]:
     """Run ``fn`` with an optional deadline; raises :class:`CellTimeout`.
 
     The cell runs in a daemon worker thread; on expiry the thread is
     abandoned (it cannot be killed) and the caller degrades the cell.
 
-    With a ``heartbeat`` path (written by the checkpointed replay loop
-    after every chunk), the deadline is a *watchdog*: it measures time
-    since the last observed **progress** — a change in the heartbeat's
-    access position — not since the cell started. A slow cell that
-    keeps advancing keeps extending its deadline; a hung one (position
-    frozen for ``timeout_s``) still fires. That is the distinction a
-    fixed wall-clock deadline cannot make.
+    With a ``checkpoint`` path (the cell's mid-trace snapshot, which
+    the checkpointed replay loop replaces atomically on every
+    checkpoint boundary), the deadline is a *watchdog*: it measures
+    time since the last observed **progress** — a new
+    ``(st_ino, st_mtime_ns)`` on that file — not since the cell
+    started. A slow cell that keeps advancing keeps extending its
+    deadline; a hung one (no new snapshot for ``timeout_s``) still
+    fires. That is the distinction a fixed wall-clock deadline cannot
+    make. An absent or unchanged file reads as no progress, so a cell
+    whose snapshot writer has given up after a persistent write
+    failure sees a plain deadline from its last good snapshot.
     """
     if not timeout_s:
         return fn()
@@ -119,25 +131,24 @@ def call_with_timeout(fn: Callable[[], Dict[str, Any]],
 
     worker = threading.Thread(target=target, daemon=True, name="cell")
     worker.start()
-    if heartbeat is None:
+    if checkpoint is None:
         worker.join(timeout_s)
     else:
         deadline = time.monotonic() + timeout_s
-        last_position: Optional[int] = None
+        last = _file_stamp(checkpoint)
         while worker.is_alive():
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
             worker.join(min(0.05, remaining))
-            beat = read_heartbeat(heartbeat)
-            position = beat.get("position") if beat else None
-            if position is not None and position != last_position:
-                last_position = position
+            stamp = _file_stamp(checkpoint)
+            if stamp is not None and stamp != last:
+                last = stamp
                 deadline = time.monotonic() + timeout_s
     if worker.is_alive():
         raise CellTimeout(
             f"cell exceeded {timeout_s:g}s "
-            + ("without-progress watchdog" if heartbeat is not None
+            + ("without-progress watchdog" if checkpoint is not None
                else "deadline"),
             timeout_s=timeout_s,
             app=key.get("app"), config=key.get("config"),
@@ -152,7 +163,7 @@ def _execute_cell(fn: Callable[[], Dict[str, Any]],
                   timeout_s: Optional[float],
                   retry: RetryPolicy,
                   data_specs: Tuple = (),
-                  heartbeat: Optional[Path] = None,
+                  checkpoint: Optional[Path] = None,
                   before: Optional[Callable[[int], None]] = None,
                   sleep: Callable[[float], None] = time.sleep
                   ) -> Tuple[str, Any, int, Optional[BaseException]]:
@@ -186,7 +197,7 @@ def _execute_cell(fn: Callable[[], Dict[str, Any]],
             arm_data_specs(data_specs)
             try:
                 row = call_with_timeout(attempt_fn, key, timeout_s,
-                                        heartbeat=heartbeat)
+                                        checkpoint=checkpoint)
             finally:
                 clear_armed()
             if not isinstance(row, dict):
@@ -216,7 +227,7 @@ def _worker_cell(fn: Callable[[], Dict[str, Any]],
                  timeout_s: Optional[float],
                  retry: RetryPolicy,
                  data_specs: Tuple,
-                 heartbeat: Optional[Path],
+                 checkpoint: Optional[Path],
                  marker: Optional[str],
                  kill: bool) -> Tuple[str, Any, int]:
     """Pool-worker entry point: marker bookkeeping around the lifecycle.
@@ -234,7 +245,7 @@ def _worker_cell(fn: Callable[[], Dict[str, Any]],
         os.kill(os.getpid(), signal.SIGKILL)
     status, payload, retries, _ = _execute_cell(fn, key, timeout_s,
                                                 retry, data_specs,
-                                                heartbeat)
+                                                checkpoint)
     if marker is not None:
         try:
             Path(marker).unlink()
@@ -250,8 +261,10 @@ class CellTask:
     ``index`` is the row index (the runner maps outcomes back to rows
     with it); ``ordinal`` is the serial-equivalent execution ordinal
     fault specs key on; ``data_specs`` are the data-level fault specs
-    to arm in whichever process runs the cell; ``heartbeat`` is the
-    watchdog file for progress-aware timeouts.
+    to arm in whichever process runs the cell; ``checkpoint`` is the
+    cell's mid-trace snapshot path (``None`` without a checkpoint
+    directory), which the timeout watchdog reads as its progress
+    signal and the runner checks to classify a failure as resumable.
     """
 
     index: int
@@ -259,7 +272,7 @@ class CellTask:
     fn: Callable[[], Dict[str, Any]]
     ordinal: int = 0
     data_specs: Tuple = ()
-    heartbeat: Optional[Path] = None
+    checkpoint: Optional[Path] = None
 
 
 @dataclass(frozen=True)
@@ -348,7 +361,7 @@ class SerialExecutor(Executor):
                       else partial(self.on_attempt, task.ordinal, task.key))
             status, payload, retries, error = _execute_cell(
                 task.fn, task.key, self.timeout_s, self.retry,
-                task.data_specs, task.heartbeat, before, self.sleep)
+                task.data_specs, task.checkpoint, before, self.sleep)
             yield CellOutcome(task.index, task.key, status, payload,
                               retries, error)
 
@@ -471,7 +484,7 @@ class SupervisedPoolExecutor(Executor):
         marker = marker_dir / f"cell-{task.index}"
         return pool.submit(
             _worker_cell, task.fn, task.key, self.timeout_s, self.retry,
-            task.data_specs, task.heartbeat, str(marker),
+            task.data_specs, task.checkpoint, str(marker),
             self._kill_this_dispatch(task, dispatch))
 
     # -- the supervision loop ----------------------------------------

@@ -52,11 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import ioutil
 from ..errors import ConfigError
-from .checkpoint import (
-    checkpoint_path_for,
-    heartbeat_path,
-    sweep_stale_heartbeats,
-)
+from .checkpoint import checkpoint_path_for
 from .executors import (
     STATUS_CRASHED,
     STATUS_OK,
@@ -210,8 +206,8 @@ class ResilientRunner:
         file exists degrades to ``status="resumable"`` instead of
         ``error``/``timeout`` — rerunning the grid resumes it from the
         snapshot; (b) the per-cell timeout becomes a progress watchdog
-        over the cell's heartbeat file (see
-        :func:`~repro.sim.executors.call_with_timeout`).
+        that reads each rewrite of the cell's checkpoint file as
+        progress (see :func:`~repro.sim.executors.call_with_timeout`).
     sleep:
         Injection point for the backoff sleep (tests pass a recorder).
         Serial-mode only: pool workers always use ``time.sleep``.
@@ -323,22 +319,14 @@ class ResilientRunner:
                   file=sys.stderr)
 
     def close(self) -> None:
-        """Flush and close the journal; sweep stale heartbeat files.
+        """Flush and close the journal. Idempotent.
 
-        A SIGKILLed worker never reaches the completion path that
-        deletes its heartbeat, so finished runs used to leak one
-        ``*.heartbeat`` file per killed worker into the checkpoint
-        directory. Heartbeats only carry liveness for the run that is
-        writing them — they are never resumed from — so closing the
-        runner deletes every one left under ``checkpoint_dir``
-        (checkpoint snapshots, which *are* resumed from, stay).
-        Idempotent.
+        Checkpoint snapshots left under ``checkpoint_dir`` stay: they
+        are what a rerun of the grid resumes from.
         """
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        if self.checkpoint_dir is not None:
-            sweep_stale_heartbeats(self.checkpoint_dir)
 
     def __enter__(self) -> "ResilientRunner":
         return self
@@ -376,12 +364,6 @@ class ResilientRunner:
         row = {**row, "status": STATUS_OK, "error": ""}
         self._record(key, STATUS_OK, row)
         return row
-
-    def _heartbeat_for(self, key: Dict[str, Any]) -> Optional[Path]:
-        if self.checkpoint_dir is None:
-            return None
-        return heartbeat_path(checkpoint_path_for(self.checkpoint_dir,
-                                                  key))
 
     def run_cell(self, key: Dict[str, Any],
                  fn: Callable[[], Dict[str, Any]],
@@ -461,10 +443,13 @@ class ResilientRunner:
                     index=index, key=key, fn=fn, ordinal=self._ordinal,
                     data_specs=(self.faults.data_specs_for(self._ordinal)
                                 if self.faults is not None else ()),
-                    heartbeat=self._heartbeat_for(key)))
+                    checkpoint=(
+                        checkpoint_path_for(self.checkpoint_dir, key)
+                        if self.checkpoint_dir is not None else None)))
                 self._ordinal += 1
         if not pending:
             return rows  # type: ignore[return-value]
+        checkpoints = {task.index: task.checkpoint for task in pending}
         if jobs == 1:
             executor = SerialExecutor(
                 timeout_s=self.timeout_s, retry=self.retry,
@@ -490,17 +475,13 @@ class ResilientRunner:
                     self.stats.ok += 1
                     status = STATUS_OK
                 else:
-                    status = self._classify_failure(key, outcome.status)
+                    status = self._classify_failure(
+                        checkpoints[outcome.index], outcome.status)
                     if not degrade:
                         self.close()
                         raise outcome.error
                     row = {**key, "status": status,
                            "error": outcome.payload}
-                    if outcome.status == STATUS_CRASHED:
-                        # Quarantined cells never reach the normal
-                        # completion path; drop their watchdog file
-                        # now rather than leaking it.
-                        self._drop_heartbeat(key)
                 self._record(key, status, row)
                 rows[outcome.index] = row
         finally:
@@ -509,15 +490,8 @@ class ResilientRunner:
             executor.close()
         return rows  # type: ignore[return-value]
 
-    def _drop_heartbeat(self, key: Dict[str, Any]) -> None:
-        beat = self._heartbeat_for(key)
-        if beat is not None:
-            try:
-                beat.unlink()
-            except OSError:
-                pass
-
-    def _classify_failure(self, key: Dict[str, Any], status: str) -> str:
+    def _classify_failure(self, checkpoint: Optional[Path],
+                          status: str) -> str:
         """Final status of a failed cell, tallying the runner stats.
 
         A failed cell whose mid-simulation checkpoint file exists
@@ -527,10 +501,9 @@ class ResilientRunner:
         the resumed run re-executes it from the snapshot, which also
         re-tests whether the crash was environmental.)
         """
-        if self.checkpoint_dir is not None:
-            if checkpoint_path_for(self.checkpoint_dir, key).exists():
-                self.stats.resumable += 1
-                return STATUS_RESUMABLE
+        if checkpoint is not None and checkpoint.exists():
+            self.stats.resumable += 1
+            return STATUS_RESUMABLE
         if status == STATUS_TIMEOUT:
             self.stats.timeouts += 1
         elif status == STATUS_CRASHED:

@@ -27,9 +27,9 @@ result``), so the "service" is the filesystem plus determinism:
 Pending markers are *advisory leases*: they carry dedupe information
 between cooperating submitters, never correctness. Each marker is
 stamped with its owner (pid + host) and an expiry deadline; ``jobs
-run`` renews its claims from a background :class:`LeaseRenewer` on the
-watchdog-heartbeat cadence (every TTL/3), so a live owner's markers
-never lapse while a SIGKILLed owner's markers expire after
+run`` renews its claims from a background :class:`LeaseRenewer`
+every TTL/3, so a live owner's markers never lapse while a SIGKILLed
+owner's markers expire after
 :func:`lease_ttl` seconds and overlapping submissions **steal** them.
 That makes shared (rsync/NFS) store roots safe: a dead owner wedges
 nothing for longer than one TTL, and stealing is harmless because
@@ -304,9 +304,8 @@ class LeaseRenewer:
     """Background lease heartbeat for one running job.
 
     A daemon thread that calls :func:`renew_leases` every ``ttl / 3``
-    seconds — the same duty cycle the watchdog heartbeat uses, so a
-    live owner always renews at least twice before its lease can
-    lapse. Use as a context manager around the ``run_sweep`` call::
+    seconds, so a live owner always renews at least twice before its
+    lease can lapse. Use as a context manager around the ``run_sweep`` call::
 
         with LeaseRenewer(store, record):
             run_sweep(...)

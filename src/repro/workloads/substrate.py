@@ -252,17 +252,6 @@ class TraceColumns:
             self._kernel = KernelMemo()
         return self._kernel
 
-    def spec_change_fraction(self, index_bits: int) -> float:
-        """Fraction of accesses whose set index changes under
-        ``index_bits`` speculative bits — the paper's "how often does
-        VA-indexing lie" statistic, free once ``index_delta`` exists.
-        """
-        if index_bits <= 0:
-            return 0.0
-        mask = (1 << index_bits) - 1
-        return float(np.count_nonzero(self.index_delta & mask)
-                     / len(self.index_delta))
-
 
 def columns_for(trace: Trace) -> TraceColumns:
     """The (memoized) derived-column store for ``trace``.

@@ -303,34 +303,3 @@ def test_data_fault_ordinal_same_serial_and_parallel(tmp_path):
             [("perlbench", "32K_2w", 0)]
         paths.append(to_csv(rows, tmp_path / f"jobs{jobs}.csv"))
     assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-# ---------------------------------------------------------------------
-# Heartbeat hygiene (ISSUE 6 satellite: SIGKILLed workers leak beats)
-# ---------------------------------------------------------------------
-
-def test_close_sweeps_stale_heartbeats(tmp_path):
-    """A worker that died mid-cell cannot delete its heartbeat file;
-    the runner's close() sweeps every survivor from checkpoint_dir."""
-    ckpt_dir = tmp_path / "ckpts"
-    ckpt_dir.mkdir()
-    snapshot = ckpt_dir / "ckpt-povray-base-0-deadbeef.json"
-    snapshot.write_text("{}")
-    stale = ckpt_dir / "ckpt-povray-base-0-deadbeef.json.heartbeat"
-    stale.write_text('{"position": 5}')
-    runner = ResilientRunner(checkpoint_dir=ckpt_dir)
-    runner.close()
-    assert not stale.exists()
-    assert snapshot.exists()  # snapshots are resumed from; they stay
-    runner.close()  # idempotent
-
-
-def test_sweep_stale_heartbeats_helper(tmp_path):
-    from repro.sim.checkpoint import sweep_stale_heartbeats
-    (tmp_path / "a.heartbeat").write_text("{}")
-    (tmp_path / "b.heartbeat").write_text("garbage")
-    (tmp_path / "ckpt-a.json").write_text("{}")
-    assert sweep_stale_heartbeats(tmp_path) == 2
-    assert sweep_stale_heartbeats(tmp_path) == 0
-    assert sweep_stale_heartbeats(tmp_path / "missing") == 0
-    assert (tmp_path / "ckpt-a.json").exists()
