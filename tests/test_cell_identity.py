@@ -10,27 +10,37 @@ this". The load-bearing properties:
 * a trace carries its recipe through the shared-memory substrate, and a
   trace without one (corrupted, or built in a non-default memory) never
   enters the warm memo or the store;
-* only a ``None`` length resolves to the default access count.
+* only a ``None`` length resolves to the default access count;
+* the identity bytes never move: ``tests/data/cell-identities.txt``
+  pins them over a grid of every core kind, geometry, memory
+  condition, way-prediction setting, two seeds and two access counts.
+  A moved byte would turn every existing store cold and make every
+  journal and checkpoint unresumable.
 """
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from repro.cli import GEOMETRIES
 from repro.core.indexing import IndexingScheme, SiptVariant
 from repro.errors import TraceError
 from repro.sim import (BASELINE_L1, SIPT_GEOMETRIES, L1Config, SystemConfig,
-                       ooo_system, simulate)
+                       ooo_system, simulate, system_for)
 from repro.sim import driver, experiment
 from repro.sim.experiment import TraceCache, trace_recipe
 from repro.sim.faults import corrupt_trace
 from repro.sim.resilience import ResilientRunner
 from repro.sim.sweep import SweepSpec, cell_key, grid_cells, run_sweep
 from repro.sim.warmstate import WarmStateCache, warm_cache_for
+from repro.stateutil import canonical_json
 from repro.store import ResultStore, cell_identity
+from repro.store.resultstore import SCHEMA
 from repro.workloads.substrate import TraceStore, attach
 from repro.workloads.trace import (GENERATOR_VERSION, MemoryCondition,
                                    TraceRecipe, generate_trace)
@@ -133,6 +143,69 @@ def test_identity_ignores_engine_and_hash_seed(tmp_path):
         assert out.stdout.strip() == keys["python"][0]["cell"]
 
 
+#: The pinned identities, one ``<label> <hex>`` line per cell of
+#: :func:`pinned_cells`. Regenerate (only for a deliberate schema
+#: change, which also bumps ``SCHEMA``) with
+#: ``PYTHONPATH=src python tests/test_cell_identity.py``.
+PINNED = Path(__file__).parent / "data" / "cell-identities.txt"
+
+
+def pinned_cells():
+    """``(label, recipe, system)`` over the pinned grid, in file order.
+
+    Each system object serves every recipe of its (core, geometry,
+    way prediction) point, as a sweep grid shares them, and each point
+    also pins a trace without a recipe.
+    """
+    for core in SystemConfig.CORE_KINDS:
+        for geometry, l1 in GEOMETRIES.items():
+            for predicted in (False, True):
+                system = system_for(core, dataclasses.replace(
+                    l1, way_prediction=predicted))
+                point = f"{core} {geometry} wp={int(predicted)}"
+                for condition in MemoryCondition:
+                    for seed in (0, 3):
+                        for accesses in (2000, 10_000):
+                            recipe = TraceRecipe("mcf", accesses,
+                                                 condition, seed)
+                            yield (f"{point} {condition.value} seed={seed}"
+                                   f" accesses={accesses}", recipe, system)
+                yield f"{point} no-recipe", None, system
+
+
+def pinned_text() -> str:
+    return "".join(f"{label} {cell_identity(recipe, system)}\n"
+                   for label, recipe, system in pinned_cells())
+
+
+def test_identities_match_the_pinned_bytes():
+    want = PINNED.read_text(encoding="utf-8").splitlines()
+    got = pinned_text().splitlines()
+    assert len(got) == len(want) == 3 * len(GEOMETRIES) * 2 * (
+        len(MemoryCondition) * 2 * 2 + 1)
+    for line, pinned in zip(got, want):
+        assert line == pinned
+
+
+def test_equal_configs_that_serialize_apart_keep_their_identities():
+    """``way_prediction=1 == True``, so the two systems compare equal,
+    but they serialize differently and so are different cells: the
+    identity is the digest of the serialized payload, whatever was
+    computed before it."""
+    recipe = TraceRecipe("mcf", 2000, MemoryCondition.NORMAL, 0)
+    flag = ooo_system(dataclasses.replace(BASELINE_L1, way_prediction=True))
+    one = ooo_system(dataclasses.replace(BASELINE_L1, way_prediction=1))
+    assert flag == one
+    for system in (flag, one, flag, one):
+        payload = {"schema": SCHEMA, "recipe": {
+            **recipe._asdict(), "condition": recipe.condition.value},
+            "system": json.loads(json.dumps(
+                dataclasses.asdict(system), default=lambda e: e.value))}
+        assert cell_identity(recipe, system) == hashlib.sha256(
+            canonical_json(payload).encode("utf-8")).hexdigest()
+    assert cell_identity(recipe, flag) != cell_identity(recipe, one)
+
+
 def test_journal_key_is_row_coordinates_plus_identity():
     recipe, system = base_cell()
     key = cell_key("sipt", recipe, system)
@@ -217,3 +290,7 @@ def test_serial_suite_shaped_sweep_restores_no_snapshot(monkeypatch):
     assert [r["status"] for r in rows] == ["ok"] * 4
     assert restores == []
     assert len(sims) == 4   # two geometry cells, two baselines
+
+
+if __name__ == "__main__":
+    PINNED.write_text(pinned_text(), encoding="utf-8")
