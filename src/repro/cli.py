@@ -295,6 +295,12 @@ def _store_report(store, runner) -> None:
     get) fold into ``RunnerStats.artifact_failures`` so ``--strict``
     sees them; read failures stay informational — a failed read is a
     miss that already re-simulated exactly.
+
+    GC (which stats every file under the root) runs only after a run
+    that simulated a cell: a fully warm run published nothing, so the
+    store cannot have outgrown its cap. The gate is the simulated
+    count, not ``store.stores``: under ``--jobs N`` the pool workers
+    publish, so the parent's tally stays 0.
     """
     hits = runner.stats.store_hits
     simulated = runner.stats.total - hits
@@ -306,6 +312,8 @@ def _store_report(store, runner) -> None:
               "failures (entries unpublished); results are unaffected",
               file=sys.stderr)
         runner.stats.artifact_failures += store.write_failures
+    if not simulated:
+        return
     removed, freed = store.gc()
     if removed:
         print(f"[store] gc evicted {removed} entries "

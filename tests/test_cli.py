@@ -267,6 +267,31 @@ def test_sweep_store_second_run_simulates_nothing(tmp_path, capsys):
     assert warm.read_bytes() == cold.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_store_gc_runs_only_after_a_run_that_simulated(tmp_path, monkeypatch,
+                                                       capsys, jobs):
+    """GC stats every file under the root, so a fully warm rerun skips
+    it. Under --jobs 2 the workers publish, and the cold run still
+    collects."""
+    from repro.store import ResultStore
+    calls = []
+    real_gc = ResultStore.gc
+
+    def gc(self, *args, **kwargs):
+        calls.append(1)
+        return real_gc(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResultStore, "gc", gc)
+    store = str(tmp_path / "store")
+    for run, simulated, gcs in (("cold", "2 simulated", 1),
+                                ("warm", "0 simulated", 0)):
+        calls.clear()
+        assert main(["sweep", *SWEEP_GRID, "--jobs", jobs, "--out",
+                     str(tmp_path / f"{run}.csv"), "--store", store]) == 0
+        assert simulated in capsys.readouterr().err
+        assert len(calls) == gcs, run
+
+
 def test_sweep_store_names_detailed_core_results_apart(tmp_path, capsys):
     from repro.store import ResultStore
     store = ResultStore(tmp_path / "store")
