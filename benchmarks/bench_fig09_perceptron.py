@@ -9,49 +9,17 @@ Reproduced claims: the predictor is >90% accurate for every application
 negligible opportunity loss.
 """
 
-from dataclasses import replace
+from conftest import print_table
 
-from conftest import fmt, print_table
-
-from repro.core import SiptVariant
-from repro.sim import SIPT_GEOMETRIES, ooo_system, run_app
+from repro.figures import FIG9, compute
 from repro.workloads import EVALUATED_APPS
 
-#: Geometry per speculative-bit count.
-GEOMETRY_BY_BITS = {1: "32K_4w", 2: "32K_2w", 3: "128K_4w"}
 
-
-def run_fig9(traces):
-    table = {}
-    for app in EVALUATED_APPS:
-        per_bits = {}
-        for bits, key in GEOMETRY_BY_BITS.items():
-            cfg = replace(SIPT_GEOMETRIES[key], variant=SiptVariant.BYPASS)
-            result = run_app(app, ooo_system(cfg), cache=traces)
-            fractions = result.outcomes.as_fractions()
-            fractions["accuracy"] = result.outcomes.prediction_accuracy
-            per_bits[bits] = fractions
-        table[app] = per_bits
-    return table
-
-
-def test_fig09_perceptron(benchmark, traces):
-    table = benchmark.pedantic(run_fig9, args=(traces,),
+def test_fig09_perceptron(benchmark, traces, store):
+    table = benchmark.pedantic(compute, args=(FIG9,),
+                               kwargs=dict(traces=traces, store=store),
                                rounds=1, iterations=1)
-    rows = []
-    for app in EVALUATED_APPS:
-        for bits in (1, 2, 3):
-            f = table[app][bits]
-            rows.append((app if bits == 1 else "", bits,
-                         fmt(f["correct_speculation"], 2),
-                         fmt(f["correct_bypass"], 2),
-                         fmt(f["opportunity_loss"], 2),
-                         fmt(f["extra_access"], 2),
-                         fmt(f["accuracy"], 3)))
-    print_table("Fig. 9: bypass predictor outcomes (1/2/3 spec bits). "
-                "Paper: >90% accuracy everywhere",
-                ["app", "bits", "corr spec", "corr bypass", "opp loss",
-                 "extra", "accuracy"], rows)
+    print_table(*FIG9.render(table))
 
     # The headline claim: accuracy above 90% for every app and bit count
     # (we allow a couple of stragglers from cold-start effects).

@@ -11,49 +11,17 @@ fast; with 2-3 bits the combined predictor still converts most slow
 accesses (paper: gcc/calculix/xz_17 reach >70%).
 """
 
-from dataclasses import replace
+from conftest import print_table
 
-from conftest import fmt, print_table
-
-from repro.core import SiptVariant
-from repro.sim import SIPT_GEOMETRIES, ooo_system, run_app
+from repro.figures import FIG12, compute
 from repro.workloads import EVALUATED_APPS, LOW_SPECULATION_APPS
 
-GEOMETRY_BY_BITS = {1: "32K_4w", 2: "32K_2w", 3: "128K_4w"}
 
-
-def run_fig12(traces):
-    table = {}
-    for app in EVALUATED_APPS:
-        per_bits = {}
-        for bits, key in GEOMETRY_BY_BITS.items():
-            cfg = replace(SIPT_GEOMETRIES[key],
-                          variant=SiptVariant.COMBINED)
-            result = run_app(app, ooo_system(cfg), cache=traces)
-            f = result.outcomes.as_fractions()
-            per_bits[bits] = {
-                "correct_speculation": f["correct_speculation"],
-                "idb_hit": f["idb_hit"],
-                "fast": result.outcomes.fast_fraction,
-            }
-        table[app] = per_bits
-    return table
-
-
-def test_fig12_idb_accuracy(benchmark, traces):
-    table = benchmark.pedantic(run_fig12, args=(traces,),
+def test_fig12_idb_accuracy(benchmark, traces, store):
+    table = benchmark.pedantic(compute, args=(FIG12,),
+                               kwargs=dict(traces=traces, store=store),
                                rounds=1, iterations=1)
-    rows = []
-    for app in EVALUATED_APPS:
-        cells = []
-        for bits in (1, 2, 3):
-            f = table[app][bits]
-            cells.append(f"{f['correct_speculation']:.2f}+"
-                         f"{f['idb_hit']:.2f}={f['fast']:.2f}")
-        rows.append((app, *cells))
-    print_table("Fig. 12: combined predictor fast fraction "
-                "(correct-spec + IDB hit) for 1/2/3 bits",
-                ["app", "1 bit", "2 bits", "3 bits"], rows)
+    print_table(*FIG12.render(table))
 
     # One speculative bit: the reversed prediction makes nearly every
     # access fast, including the seven low-speculation apps.

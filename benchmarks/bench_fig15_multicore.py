@@ -11,65 +11,22 @@ savings persist but are smaller than single-core because static energy
 weighs more.
 """
 
-from conftest import fmt, print_table
+from conftest import print_table
 
-from repro.sim import (
-    BASELINE_L1,
-    SIPT_GEOMETRIES,
-    arithmetic_mean,
-    ooo_system,
-    simulate_multicore,
-)
-from repro.workloads import MIXES
+from repro.figures import FIG15, compute
+from repro.sim import SIPT_GEOMETRIES, arithmetic_mean
 
 
-def sum_ipc(results):
-    return sum(r.ipc for r in results)
-
-
-def total_energy(results):
-    return sum(r.energy.total for r in results)
-
-
-def run_fig15(traces):
-    table = {}
-    for mix_name, members in MIXES.items():
-        mix_traces = [traces.get(app, seed=core)
-                      for core, app in enumerate(members)]
-        base = simulate_multicore(mix_traces, ooo_system(BASELINE_L1))
-        row = {}
-        for key, cfg in SIPT_GEOMETRIES.items():
-            results = simulate_multicore(mix_traces, ooo_system(cfg))
-            base_l1 = sum(r.l1_accesses_with_extra for r in base)
-            sipt_l1 = sum(r.l1_accesses_with_extra for r in results)
-            row[key] = {
-                "speedup": sum_ipc(results) / sum_ipc(base),
-                "energy": total_energy(results) / total_energy(base),
-                "extra": sipt_l1 / base_l1 - 1.0,
-            }
-        table[mix_name] = row
-    return table
-
-
-def test_fig15_multicore(benchmark, traces):
-    table = benchmark.pedantic(run_fig15, args=(traces,),
+def test_fig15_multicore(benchmark, traces, store):
+    table = benchmark.pedantic(compute, args=(FIG15,),
+                               kwargs=dict(traces=traces, store=store),
                                rounds=1, iterations=1)
-    keys = list(SIPT_GEOMETRIES)
-    rows = []
-    for mix_name, row in table.items():
-        rows.append((mix_name,
-                     *[fmt(row[k]["speedup"]) for k in keys],
-                     *[fmt(row[k]["energy"]) for k in keys]))
+    print_table(*FIG15.render(table))
     avgs = {k: arithmetic_mean([table[m][k]["speedup"] for m in table])
-            for k in keys}
+            for k in SIPT_GEOMETRIES}
     avg_energy = {k: arithmetic_mean([table[m][k]["energy"]
-                                      for m in table]) for k in keys}
-    rows.append(("Average", *[fmt(avgs[k]) for k in keys],
-                 *[fmt(avg_energy[k]) for k in keys]))
-    print_table("Fig. 15: quad-core SIPT+IDB, sum-of-IPC speedup and "
-                "energy (paper: 32K/2w best, +8.1%)",
-                ["mix", *[f"ipc {k}" for k in keys],
-                 *[f"E {k}" for k in keys]], rows)
+                                      for m in table])
+                  for k in SIPT_GEOMETRIES}
 
     # The 32K/2-way SIPT cache performs best of the four geometries.
     best = max(avgs, key=avgs.get)

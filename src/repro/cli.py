@@ -57,14 +57,13 @@ from .sim import (
     harmonic_mean,
     run_app,
     run_sweep,
-    simulate_multicore,
     system_for,
     to_csv,
 )
 from .sim.experiment import trace_recipe
 from .sim.sweep import SweepSpec, cell_key
 from .timing.cacti import CactiModel
-from .workloads import EVALUATED_APPS, MIX_NAMES, MemoryCondition, get_mix
+from .workloads import EVALUATED_APPS, MIX_NAMES, MemoryCondition
 
 GEOMETRIES = {"baseline": BASELINE_L1, "16K_4w": L1_16K_4W_VIPT,
               **SIPT_GEOMETRIES}
@@ -464,9 +463,10 @@ def cmd_store(args) -> int:
 def cmd_figures(args) -> int:
     """`repro figures`: print every grid-shaped figure's table.
 
-    One runner, one trace cache and one result store serve every
-    figure (:mod:`repro.figures`), so a cell shared by two figures is
-    simulated once; with ``--store`` a rerun simulates nothing.
+    One runner, one trace cache and one read-once result store serve
+    every figure (:mod:`repro.figures`), so a cell shared by two
+    figures is simulated, or read from ``--store``, once; with
+    ``--store`` a rerun simulates nothing.
     """
     from .figures import FIGURES, compute, private_store
     from .report import print_table
@@ -478,8 +478,8 @@ def cmd_figures(args) -> int:
             print_table(*figure.render(compute(
                 figure, args.accesses, traces, runner, args.engine,
                 bound)))
-    if store is not None:
-        _store_report(store, runner)
+        if store is not None:
+            _store_report(bound, runner)
     return _finish(args, runner)
 
 
@@ -507,15 +507,20 @@ def _spec_from_grid(grid: dict):
 
 
 def cmd_mix(args) -> int:
-    """`repro mix`: simulate one Table III quad-core mix."""
-    traces = TraceCache()
-    members = get_mix(args.name)
-    mix_traces = [traces.get(app, args.accesses, seed=i)
-                  for i, app in enumerate(members)]
-    base = simulate_multicore(mix_traces, system_for(args.core, BASELINE_L1),
-                              engine=args.engine)
-    sipt = simulate_multicore(mix_traces, system_for(args.core, _l1(args)),
-                              engine=args.engine)
+    """`repro mix`: simulate one Table III quad-core mix.
+
+    A one-mix grid of the baseline L1 and the flags' L1, computed like
+    a figure (:func:`repro.figures.compute`) on a private store.
+    """
+    from .figures import Figure, compute
+    condition = CONDITIONS[args.condition]
+    spec = SweepSpec(apps=[args.name], cores=[args.core],
+                     conditions=[condition],
+                     configs={"base": BASELINE_L1, "sipt": _l1(args)})
+    figure = Figure(args.name, (spec,), lambda get: [
+        get(name, args.name, args.core, condition)
+        for name in spec.configs], render=None)
+    base, sipt = compute(figure, args.accesses, engine=args.engine)
     for core, (b, s) in enumerate(zip(base, sipt)):
         print(f"core {core} {b.app:>14s}: base={b.ipc:.3f} "
               f"sipt={s.ipc:.3f} ({s.ipc / b.ipc:.3f}x)")

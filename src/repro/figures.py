@@ -1,12 +1,15 @@
 """The paper's grid-shaped figures as sweeps: one producer of tables.
 
-Figs. 2, 3, 6, 7, 13, 14, 16, 17, 18 and the cross-model check are all
-apps x L1 config x core x condition grids. Each is a :class:`Figure`:
-the :class:`~repro.sim.sweep.SweepSpec` list behind it, a reducer from
-the grid's :class:`~repro.sim.results.SimResult` objects to the
-figure's table dict, and a renderer from that dict to the title,
-header and rows :func:`~repro.report.print_table` prints. Figures that
-plot the same grid (6/7, 13/14, 16/17) share one spec list.
+Figs. 2, 3, 6, 7, 9, 12, 13, 14, 16, 17, 18, the cross-model check and
+the quad-core Fig. 15 are all apps x L1 config x core x condition
+grids (Fig. 15's "apps" are the Table III mix names, whose cells are
+quad-core runs). Each is a :class:`Figure`: the
+:class:`~repro.sim.sweep.SweepSpec` list behind it, a reducer from the
+grid's :class:`~repro.sim.results.SimResult` objects (a mix cell's
+per-core list of them) to the figure's table dict, and a renderer from
+that dict to the title, header and rows
+:func:`~repro.report.print_table` prints. Figures that plot the same
+grid (6/7, 13/14, 16/17) share one spec list.
 
 :func:`compute` runs a figure's specs through
 :func:`~repro.sim.sweep.run_sweep` — the one grid path, so ``--jobs``,
@@ -14,9 +17,12 @@ plot the same grid (6/7, 13/14, 16/17) share one spec list.
 :class:`~repro.store.ResultStore` always bound, and reads every cell's
 result back by its cell identity. Without a user store the results go
 to a private temporary root (:func:`private_store`), removed when the
-caller is done. A cell that did not finish ok, or whose result cannot
-be read back, raises :class:`~repro.errors.SimulationError` naming the
-cell: a figure never averages over a silently missing app.
+caller is done. Either way the bound store is a :class:`ReadOnceStore`,
+which keeps every result it reads, so one run reads each distinct
+digest at most once however many passes and figures ask for it. A cell
+that did not finish ok, or whose result cannot be read back, raises
+:class:`~repro.errors.SimulationError` naming the cell: a figure never
+averages over a silently missing app.
 
 ``repro figures`` prints every table of :data:`FIGURES`; each
 ``benchmarks/bench_*.py`` file for these figures calls :func:`compute`
@@ -42,12 +48,14 @@ from .sim.resilience import ResilientRunner
 from .sim.results import SimResult, arithmetic_mean, harmonic_mean
 from .sim.sweep import SweepSpec, grid_cells, run_sweep
 from .store.resultstore import ResultStore
+from .workloads.mixes import MIXES
 from .workloads.spec import EVALUATED_APPS
 from .workloads.trace import MemoryCondition
 
 NORMAL = MemoryCondition.NORMAL
 
-#: ``get(config, app, core="ooo", condition=NORMAL)``: one cell's result.
+#: ``get(config, app, core="ooo", condition=NORMAL)``: one cell's result
+#: (a mix cell's per-core list of results).
 Lookup = Callable[..., SimResult]
 #: A rendered table: title, header, rows.
 Rendered = Tuple[str, List[str], List[tuple]]
@@ -349,26 +357,164 @@ CROSSMODEL = Figure(
          Column("detailed", "speedup", mean=harmonic_mean)],
         "hmean", CROSSMODEL_APPS))
 
+# -- Figs. 9 and 12: the bypass and the combined predictor --------------
+
+#: The geometry with 1, 2 and 3 speculative index bits.
+GEOMETRY_BY_BITS = {1: "32K_4w", 2: "32K_2w", 3: "128K_4w"}
+
+
+def _predictor_grid(variant: SiptVariant) -> Tuple[SweepSpec, ...]:
+    """The three geometries of :data:`GEOMETRY_BY_BITS` as ``variant``,
+    OOO core, every app."""
+    return (SweepSpec(apps=list(EVALUATED_APPS), configs={
+        name: replace(SIPT_GEOMETRIES[name], variant=variant)
+        for name in GEOMETRY_BY_BITS.values()}),)
+
+
+def _per_bits(outcomes: Callable[[SimResult], dict]
+              ) -> Callable[[Lookup], dict]:
+    """The reducer ``{app: {bits: outcomes(result)}}``."""
+    def reduce(get):
+        return {app: {bits: outcomes(get(name, app))
+                      for bits, name in GEOMETRY_BY_BITS.items()}
+                for app in EVALUATED_APPS}
+    return reduce
+
+
+def _bypass_outcomes(result: SimResult) -> dict:
+    fractions = result.outcomes.as_fractions()
+    fractions["accuracy"] = result.outcomes.prediction_accuracy
+    return fractions
+
+
+def _combined_outcomes(result: SimResult) -> dict:
+    fractions = result.outcomes.as_fractions()
+    return {"correct_speculation": fractions["correct_speculation"],
+            "idb_hit": fractions["idb_hit"],
+            "fast": result.outcomes.fast_fraction}
+
+
+def _fig9_render(table) -> Rendered:
+    rows = [(app if bits == 1 else "", bits,
+             *[fmt(f[outcome], 2) for outcome in (
+                 "correct_speculation", "correct_bypass",
+                 "opportunity_loss", "extra_access")],
+             fmt(f["accuracy"], 3))
+            for app in EVALUATED_APPS for bits, f in table[app].items()]
+    return ("Fig. 9: bypass predictor outcomes (1/2/3 spec bits). "
+            "Paper: >90% accuracy everywhere",
+            ["app", "bits", "corr spec", "corr bypass", "opp loss",
+             "extra", "accuracy"], rows)
+
+
+def _fig12_render(table) -> Rendered:
+    rows = [(app, *[f"{f['correct_speculation']:.2f}+"
+                    f"{f['idb_hit']:.2f}={f['fast']:.2f}"
+                    for f in table[app].values()])
+            for app in EVALUATED_APPS]
+    return ("Fig. 12: combined predictor fast fraction "
+            "(correct-spec + IDB hit) for 1/2/3 bits",
+            ["app", "1 bit", "2 bits", "3 bits"], rows)
+
+
+FIG9 = Figure("fig9", _predictor_grid(SiptVariant.BYPASS),
+              _per_bits(_bypass_outcomes), _fig9_render)
+# COMBINED is the default variant: most of these cells are Fig. 13's
+# and Fig. 18's.
+FIG12 = Figure("fig12", _predictor_grid(SiptVariant.COMBINED),
+               _per_bits(_combined_outcomes), _fig12_render)
+
+# -- Fig. 15: SIPT with IDB on the quad core (Table III mixes) ----------
+
+#: Fig. 15's printed metrics and their column-header prefixes.
+FIG15_COLUMNS = {"speedup": "ipc", "energy": "E"}
+
+
+def _mix_ratios(results: List[SimResult], base: List[SimResult]) -> dict:
+    """One mix under one geometry vs its baseline: sum-of-IPC speedup,
+    total energy, and extra L1 accesses over all cores."""
+    def ratio(metric):
+        return sum(map(metric, results)) / sum(map(metric, base))
+    return {"speedup": ratio(lambda r: r.ipc),
+            "energy": ratio(lambda r: r.energy.total),
+            "extra": ratio(lambda r: r.l1_accesses_with_extra) - 1.0}
+
+
+def _fig15(get) -> dict:
+    return {mix: {name: _mix_ratios(get(name, mix), get("base", mix))
+                  for name in SIPT_GEOMETRIES}
+            for mix in MIXES}
+
+
+def _fig15_render(table) -> Rendered:
+    columns = [(metric, name) for metric in FIG15_COLUMNS
+               for name in SIPT_GEOMETRIES]
+    rows = [(mix, *[fmt(row[name][metric]) for metric, name in columns])
+            for mix, row in table.items()]
+    rows.append(("Average", *[
+        fmt(arithmetic_mean([row[name][metric] for row in table.values()]))
+        for metric, name in columns]))
+    return ("Fig. 15: quad-core SIPT+IDB, sum-of-IPC speedup and "
+            "energy (paper: 32K/2w best, +8.1%)",
+            ["mix", *[f"{FIG15_COLUMNS[metric]} {name}"
+                      for metric, name in columns]], rows)
+
+
+FIG15 = Figure("fig15", (_grid(SIPT_GEOMETRIES, list(MIXES)),), _fig15,
+               _fig15_render)
+
 #: Every grid-shaped figure, in the order ``repro figures`` prints them.
 FIGURES = (FIG2, FIG3, FIG6, FIG7, FIG13, FIG14, FIG16, FIG17, FIG18,
-           CROSSMODEL)
+           CROSSMODEL, FIG9, FIG12, FIG15)
+
+
+class ReadOnceStore(ResultStore):
+    """A :class:`~repro.store.ResultStore` that keeps every result it
+    reads.
+
+    A figures run asks for a cell in ``run_sweep``'s store pre-pass,
+    again when :func:`compute` collects the table, and again for every
+    figure that shares the cell; the repeats are served from memory,
+    so each distinct digest is read from disk at most once per run.
+    Only hits are kept: a miss stays a miss until the cell is
+    published. A pool task pickles it as a plain ``ResultStore`` on the
+    same root, so the memo never leaves this process.
+    """
+
+    def __init__(self, root, cap_bytes: Optional[int] = None):
+        super().__init__(root, cap_bytes)
+        self._read: Dict[str, object] = {}
+
+    def fetch_result(self, digest: str):
+        result = self._read.get(digest)
+        if result is None:
+            result = super().fetch_result(digest)
+            if result is not None:
+                self._read[digest] = result
+        return result
+
+    def __reduce__(self):
+        return ResultStore, (self.root, self.cap_bytes)
 
 
 @contextmanager
 def private_store(store: Optional[ResultStore] = None
-                  ) -> Iterator[ResultStore]:
-    """``store`` itself, or — when ``None`` — a store on a private
-    ``tempfile.mkdtemp`` root that is removed on exit, whatever ends
-    the block (the same lifetime as a parallel sweep's exchange
-    root)."""
-    if store is not None:
+                  ) -> Iterator[ReadOnceStore]:
+    """A :class:`ReadOnceStore` on ``store``'s root, or — when ``None``
+    — on a private ``tempfile.mkdtemp`` root that is removed on exit,
+    whatever ends the block (the same lifetime as a parallel sweep's
+    exchange root). A ``ReadOnceStore`` is yielded as itself, so every
+    figure computed on it shares one memo."""
+    if isinstance(store, ReadOnceStore):
         yield store
-        return
-    root = tempfile.mkdtemp(prefix="repro-figures-")
-    try:
-        yield ResultStore(root)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
+    elif store is not None:
+        yield ReadOnceStore(store.root, store.cap_bytes)
+    else:
+        root = tempfile.mkdtemp(prefix="repro-figures-")
+        try:
+            yield ReadOnceStore(root)
+        finally:
+            shutil.rmtree(root, ignore_errors=True)
 
 
 def _failed(figure: Figure, key: dict, row: dict,
@@ -394,9 +540,10 @@ def compute(figure: Figure, n_accesses: Optional[int] = None,
     ``store`` bound (a private temporary store when ``None``), so cells
     already in the store — another figure's, or a previous run's — are
     read instead of simulated. Every cell's result is then read back by
-    its cell identity. Raises :class:`~repro.errors.SimulationError`
-    naming the first cell whose row is not ok or whose result is not
-    readable.
+    its cell identity; pass the store :func:`private_store` yields to
+    let a sequence of figures share one read-once memo. Raises
+    :class:`~repro.errors.SimulationError` naming the first cell whose
+    row is not ok or whose result is not readable.
     """
     traces = traces or TraceCache()
     runner = runner or ResilientRunner()

@@ -11,10 +11,11 @@ be scaled with the ``REPRO_ACCESSES`` environment variable.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 from ..envutil import env_int
 from ..errors import ConfigError, ReproError
+from ..workloads.mixes import get_mix
 from ..workloads.trace import (MemoryCondition, Trace, TraceRecipe,
                                generate_trace)
 from .config import SystemConfig
@@ -36,6 +37,31 @@ def trace_recipe(app: str, n_accesses: Optional[int] = None,
     if n_accesses is None:
         n_accesses = default_accesses()
     return TraceRecipe(app, n_accesses, condition, seed)
+
+
+class MixRecipe(NamedTuple):
+    """Everything that determines a Table III mix cell's traces.
+
+    ``app`` (the mix name), ``condition`` and ``seed`` are the cell's
+    readable coordinates; ``members`` holds one :class:`TraceRecipe`
+    per core. A mix has no trace of its own: only its members are ever
+    generated or published, each under its own recipe.
+    """
+
+    app: str
+    condition: MemoryCondition
+    seed: int
+    members: Tuple[TraceRecipe, ...]
+
+
+def mix_recipe(name: str, n_accesses: Optional[int] = None,
+               condition: MemoryCondition = MemoryCondition.NORMAL,
+               seed: int = 0) -> MixRecipe:
+    """The recipe of mix ``name``'s cell: core ``i`` replays its
+    member app's :func:`trace_recipe` on seed ``seed + i``."""
+    return MixRecipe(name, condition, seed, tuple(
+        trace_recipe(app, n_accesses, condition, seed + core)
+        for core, app in enumerate(get_mix(name))))
 
 
 #: Default :class:`TraceCache` capacity. A trace plus its page table

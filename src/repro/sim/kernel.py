@@ -137,11 +137,6 @@ def decline_counts() -> dict:
     return dict(DECLINES)
 
 
-def reset_declines() -> None:
-    """Zero the decline counters (test isolation)."""
-    DECLINES.clear()
-
-
 def _cum(mask) -> np.ndarray:
     """Length ``n + 1`` inclusive-prefix-sum with a leading zero.
 

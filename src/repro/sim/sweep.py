@@ -3,7 +3,10 @@
 The benchmark files each regenerate one figure; this module is the
 general tool behind ad-hoc studies: sweep (app x L1 config x condition)
 grids, collect the standard metrics, and write them as CSV for external
-plotting.
+plotting. A Table III mix name (``mix0`` ... ``mix10``) on the apps axis
+is a quad-core cell: its members replay together on a shared LLC
+(:func:`~repro.sim.driver.simulate_multicore`), and its result is the
+per-core ``SimResult`` list.
 
 Grids execute through :class:`~repro.sim.resilience.ResilientRunner`:
 a failing cell degrades into a ``status="error"`` row instead of
@@ -39,13 +42,16 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from ..errors import ConfigError, ReproError
 from ..ioutil import atomic_write_text
 from ..store.resultstore import ResultStore, cell_identity
+from ..workloads.mixes import MIXES
 from ..workloads.substrate import TraceHandle, TraceStore, attach
 from ..workloads.trace import MemoryCondition, TraceRecipe
 from . import faults as _faults
 from .checkpoint import checkpoint_path_for
 from .config import L1Config, SystemConfig, system_for
+from .driver import simulate_multicore
 from .executors import STATUS_OK
-from .experiment import TraceCache, run_app, trace_recipe
+from .experiment import (MixRecipe, TraceCache, mix_recipe, run_app,
+                         trace_recipe)
 from .resilience import ResilientRunner
 from .warmstate import WarmStateCache, warm_cache_for
 
@@ -85,7 +91,8 @@ class SweepSpec:
     Attributes
     ----------
     apps:
-        Benchmark names (see ``repro list``); each must be unique.
+        Benchmark names (see ``repro list``); each must be unique. A
+        mix name makes that app's cells quad-core runs of the mix.
     configs:
         ``{name: L1Config}`` — the name becomes the ``config`` CSV
         column.
@@ -135,7 +142,7 @@ class SweepSpec:
             raise ConfigError(f"baseline {self.baseline!r} not in configs")
 
 
-def cell_key(name: str, recipe: TraceRecipe,
+def cell_key(name: str, recipe: Union[TraceRecipe, MixRecipe],
              system: SystemConfig) -> Dict[str, object]:
     """The journal key of one grid cell.
 
@@ -159,8 +166,11 @@ def grid_cells(spec: SweepSpec, n_accesses: Optional[int] = None):
     the jobs front end. Sharing the iterator is what keeps a
     store-composed CSV byte-identical to an executed one, and is the
     order fault ordinals count in. ``n_accesses`` resolves like
-    :func:`~repro.sim.experiment.trace_recipe`.
+    :func:`~repro.sim.experiment.trace_recipe`; a mix name's recipe is
+    its :func:`~repro.sim.experiment.mix_recipe`.
     """
+    recipe_for = {app: mix_recipe if app in MIXES else trace_recipe
+                  for app in spec.apps}
     for core in spec.cores:
         # One system object per (core, config): cell_identity
         # serializes each system object once.
@@ -170,8 +180,8 @@ def grid_cells(spec: SweepSpec, n_accesses: Optional[int] = None):
             for seed in spec.seeds:
                 for name, system in systems.items():
                     for app in spec.apps:
-                        recipe = trace_recipe(app, n_accesses, condition,
-                                              seed)
+                        recipe = recipe_for[app](app, n_accesses,
+                                                 condition, seed)
                         yield cell_key(name, recipe, system), recipe, system
 
 
@@ -181,9 +191,27 @@ def _result_row(key: Dict[str, object], result, base) -> dict:
     The single source of truth for how a ``SimResult`` (plus its
     optional normalization baseline) becomes row values — executed
     cells, pool workers, and store hits all call this, so a row's
-    bytes cannot depend on *where* the result came from.
+    bytes cannot depend on *where* the result came from. A mix cell's
+    row sums IPC and energy over its cores (``speedup`` is the
+    sum-of-IPC ratio) and averages the per-core fractions.
     """
     row = {name: key[name] for name in FIELDS[:5]}
+    if isinstance(result, list):
+        n = len(result)
+        ipc = sum(r.ipc for r in result)
+        energy = sum(r.energy.total for r in result)
+        row.update({
+            "ipc": ipc,
+            "speedup": ipc / sum(r.ipc for r in base) if base else "",
+            "l1_miss_rate": sum(r.l1_stats.miss_rate for r in result) / n,
+            "fast_fraction": sum(r.fast_fraction for r in result) / n,
+            "extra_access_fraction": sum(
+                r.extra_access_fraction for r in result) / n,
+            "energy_j": energy,
+            "energy_ratio": (energy / sum(r.energy.total for r in base)
+                             if base else ""),
+        })
+        return row
     row.update({
         "ipc": result.ipc,
         "speedup": result.speedup_over(base) if base else "",
@@ -196,9 +224,10 @@ def _result_row(key: Dict[str, object], result, base) -> dict:
     return row
 
 
-def _simulated(key: Dict[str, object], recipe: TraceRecipe,
-               system: SystemConfig,
-               source: Union[TraceHandle, TraceCache],
+def _simulated(key: Dict[str, object],
+               recipe: Union[TraceRecipe, MixRecipe], system: SystemConfig,
+               source: Union[TraceHandle, Tuple[TraceHandle, ...],
+                             TraceCache],
                warm: WarmStateCache, engine: str, baseline: bool,
                checkpoint_every: Optional[int] = None,
                checkpoint_path: Optional[Path] = None,
@@ -211,7 +240,10 @@ def _simulated(key: Dict[str, object], recipe: TraceRecipe,
     every normalization run — read the warm cache first; on a miss
     they restore and snapshot warm state and keep their result in the
     warm cache's LRU tier for their siblings. The trace comes from
-    ``source`` only when the run simulates. Results go to the cache's
+    ``source`` only when the run simulates; a mix's member traces come
+    from its tuple of handles, or one by one from the cache, and replay
+    together through :func:`~repro.sim.driver.simulate_multicore`
+    (which has no checkpoints or warm state). Results go to the cache's
     store tier when one is bound, a memoized one included, with
     ``key`` as its meta sidecar: every result to a ``--store`` root,
     only baseline results to a parallel sweep's ephemeral ``exchange``
@@ -226,39 +258,50 @@ def _simulated(key: Dict[str, object], recipe: TraceRecipe,
         if result is not None:
             warm.store_result(cell, result, meta=key)
             return result
-    trace = (attach(source) if isinstance(source, TraceHandle)
-             else source.of(recipe))
-    result = run_app(recipe.app, system, checkpoint_every=checkpoint_every,
-                     checkpoint_path=checkpoint_path,
-                     resume_checkpoint=checkpoint_path, trace=trace,
-                     warm_state=warm if baseline else None, engine=engine)
+    if isinstance(recipe, MixRecipe):
+        traces = ([attach(handle) for handle in source]
+                  if isinstance(source, tuple)
+                  else [source.of(member) for member in recipe.members])
+        result = simulate_multicore(traces, system, engine=engine)
+    else:
+        trace = (attach(source) if isinstance(source, TraceHandle)
+                 else source.of(recipe))
+        result = run_app(recipe.app, system,
+                         checkpoint_every=checkpoint_every,
+                         checkpoint_path=checkpoint_path,
+                         resume_checkpoint=checkpoint_path, trace=trace,
+                         warm_state=warm if baseline else None,
+                         engine=engine)
     if not faulted and (baseline or not exchange):
         warm.store_result(cell, result, meta=key, remember=baseline)
     return result
 
 
-def _parallel_cell(key: Dict[str, object], recipe: TraceRecipe,
+def _parallel_cell(key: Dict[str, object],
+                   recipe: Union[TraceRecipe, MixRecipe],
                    system: SystemConfig,
                    base: Optional[Tuple[Dict[str, object], SystemConfig]],
                    checkpoint_every: Optional[int],
                    checkpoint_path: Optional[Path],
-                   source: Union[TraceHandle, TraceCache],
+                   source: Union[TraceHandle, Tuple[TraceHandle, ...],
+                                 TraceCache],
                    store: Optional[ResultStore],
                    engine: str = "python", exchange: bool = False) -> dict:
     """One sweep cell as a self-contained task — the only cell task.
 
     Serial sweeps run it in-process; ``--jobs N`` sweeps pickle it to a
     pool worker. The trace comes from ``source``: a substrate handle
-    (a zero-copy attach of the parent's published segment) under
-    ``--jobs N``, the sweep's :class:`TraceCache` when serial. ``store``
-    is bound as the process warm cache's store tier; ``exchange`` marks
-    it as a storeless sweep's ephemeral baseline exchange (see
-    :func:`_simulated`). ``base`` is the ``(key, system)`` of the
-    cell's normalization run (the spec's baseline config on this
-    cell's trace and core), or ``None``. Everything is deterministic,
-    so the row is identical whichever process ran it — including under
-    checkpointing, where ``checkpoint_path`` doubles as the resume
-    source (a missing file just means a fresh start).
+    (a zero-copy attach of the parent's published segment; a mix's
+    tuple of them) under ``--jobs N``, the sweep's :class:`TraceCache`
+    when serial. ``store`` is bound as the process warm cache's store
+    tier; ``exchange`` marks it as a storeless sweep's ephemeral
+    baseline exchange (see :func:`_simulated`). ``base`` is the
+    ``(key, system)`` of the cell's normalization run (the spec's
+    baseline config on this cell's trace and core), or ``None``.
+    Everything is deterministic, so the row is identical whichever
+    process ran it — including under checkpointing, where
+    ``checkpoint_path`` doubles as the resume source (a missing file
+    just means a fresh start).
     """
     try:
         warm = warm_cache_for(store)
@@ -276,6 +319,19 @@ def _parallel_cell(key: Dict[str, object], recipe: TraceRecipe,
         raise exc.with_context(app=recipe.app, config=key["config"],
                                seed=recipe.seed)
     return _result_row(key, result, base_result)
+
+
+def _publish(trace_store: TraceStore, traces: TraceCache,
+             recipe: Union[TraceRecipe, MixRecipe]
+             ) -> Union[TraceHandle, Tuple[TraceHandle, ...]]:
+    """Publish the trace a pending cell replays; returns its handle, or
+    a mix's tuple of per-member handles. Each member is published under
+    its own recipe, so a trace that a mix shares with a single-core
+    cell (or another mix) is rendered once."""
+    if isinstance(recipe, MixRecipe):
+        return tuple(trace_store.publish(traces.of(member), key=member)
+                     for member in recipe.members)
+    return trace_store.publish(traces.of(recipe), key=recipe)
 
 
 def _baseline_cells(spec: SweepSpec, grid: List[tuple]
@@ -361,6 +417,8 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     and checkpoint resume (accesses within a cell) compose: the journal
     skips finished cells, the checkpoint fast-forwards the interrupted
     one. Baseline runs are cheap shared work and stay uncheckpointed.
+    Mix cells have no mid-run checkpoints, so a grid with a mix name
+    and ``checkpoint_every`` raises :class:`~repro.errors.ConfigError`.
 
     Every ``jobs`` value runs the same task list (one
     :func:`_parallel_cell` per grid cell) through
@@ -413,6 +471,11 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
         raise ConfigError(
             "checkpoint_every needs a runner constructed with "
             "checkpoint_dir= (the per-cell snapshot directory)")
+    mixes = [app for app in spec.apps if app in MIXES]
+    if checkpoint_every is not None and mixes:
+        raise ConfigError(
+            f"checkpoint_every cannot apply to mix cells {mixes}: a "
+            "multicore run has no mid-run checkpoints")
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
     # Only *simulation* faults disarm the store — their injected
@@ -434,7 +497,7 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
             if row is not None:
                 hits[i] = runner.record_hit(key, row)
     cells = [cell for i, cell in enumerate(grid) if i not in hits]
-    handles: Dict[tuple, TraceHandle] = {}
+    handles: Dict[tuple, Union[TraceHandle, Tuple[TraceHandle, ...]]] = {}
     tier = store
     trace_store: Optional[TraceStore] = None
     exchange: Optional[str] = None
@@ -445,8 +508,7 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
                        if not runner.completed_ok(key)}
             for recipe in sorted(pending, key=lambda r: (
                     r.app, r.condition.value, r.seed)):
-                handles[recipe] = trace_store.publish(traces.of(recipe),
-                                                      key=recipe)
+                handles[recipe] = _publish(trace_store, traces, recipe)
             if tier is None and spec.baseline is not None:
                 exchange = tempfile.mkdtemp(prefix="repro-warm-")
                 tier = ResultStore(exchange)

@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Tuple
 from ..errors import CheckpointError, ConfigError
 from .jobs import (_marker_owner, _marker_payload, jobs_dir, load_job,
                    pending_dir)
-from .resultstore import ResultStore
+from .resultstore import ResultStore, is_cell_result
 
 #: Finding categories, in report order.
 CATEGORIES = ("orphan-tmp", "corrupt-result", "corrupt-state",
@@ -66,22 +66,20 @@ class Finding:
 def _entry_findings(store: ResultStore) -> List[Finding]:
     """Scan v1 entries for corrupt/truncated files."""
     from ..sim.checkpoint import verify_checkpoint_text
-    from ..sim.results import SimResult
     findings: List[Finding] = []
     for digest, files in store.entries():
         siblings = list(files)
         for path in files:
             if path.name.endswith(".result.pkl"):
                 try:
-                    ok = isinstance(pickle.loads(path.read_bytes()),
-                                    SimResult)
+                    ok = is_cell_result(pickle.loads(path.read_bytes()))
                 except Exception:
                     ok = False
                 if not ok:
                     findings.append(Finding(
                         "corrupt-result", path,
                         f"entry {digest[:12]} result does not "
-                        "unpickle to a SimResult", remove=siblings))
+                        "unpickle to a cell result", remove=siblings))
             elif path.name.endswith(".state.json"):
                 try:
                     verify_checkpoint_text(

@@ -29,7 +29,9 @@ of::
 * ``recipe`` is the :class:`~repro.workloads.trace.TraceRecipe` the
   trace is generated from, ``version`` the generator's
   ``GENERATOR_VERSION``. It names the trace without generating it, so
-  a store hit costs no trace generation.
+  a store hit costs no trace generation. A Table III mix cell's recipe
+  is a :class:`~repro.sim.experiment.MixRecipe` instead: ``{app,
+  condition, seed, members}``, one trace recipe per core.
 * ``system`` is the **full config dict** (every
   :class:`~repro.sim.config.SystemConfig` and nested
   :class:`~repro.sim.config.L1Config` field, enums by value), not just
@@ -50,7 +52,7 @@ On-disk layout (versioned)
 
     <root>/                      # REPRO_STORE_DIR, default
     │                            # ~/.cache/repro-store
-    ├── v1/<aa>/<digest>.result.pkl   # pickled SimResult
+    ├── v1/<aa>/<digest>.result.pkl   # pickled SimResult (list: mix)
     ├── v1/<aa>/<digest>.state.json   # optional repro-ckpt-2 snapshot
     ├── v1/<aa>/<digest>.meta.json    # human-readable provenance
     ├── jobs/<job-id>.json            # repro.store.jobs
@@ -211,6 +213,15 @@ def cell_identity(recipe, system) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def is_cell_result(value: Any) -> bool:
+    """Whether ``value`` is what a store entry may hold: a
+    ``SimResult``, or a mix cell's non-empty per-core list of them."""
+    from ..sim.results import SimResult
+    if isinstance(value, list):
+        return bool(value) and all(isinstance(r, SimResult) for r in value)
+    return isinstance(value, SimResult)
+
+
 class ResultStore:
     """Persistent content-addressed store of completed cell results.
 
@@ -312,7 +323,8 @@ class ResultStore:
     # -- results ------------------------------------------------------
 
     def fetch_result(self, digest: str):
-        """The stored ``SimResult`` for ``digest``, or ``None``.
+        """The stored ``SimResult`` for ``digest`` (a mix cell's
+        per-core list of them), or ``None``.
 
         A hit refreshes the entry's mtime (the GC's LRU clock). A
         corrupt, truncated, or wrong-typed entry is a miss — the
@@ -322,7 +334,6 @@ class ResultStore:
         retries before a real I/O failure counts a ``read_failure``
         (still a miss — damage is never an error).
         """
-        from ..sim.results import SimResult
         path = self.result_path(digest)
         try:
             data = read_bytes(path)
@@ -341,7 +352,7 @@ class ResultStore:
             self._discard(digest)
             self.misses += 1
             return None
-        if not isinstance(result, SimResult):
+        if not is_cell_result(result):
             self._discard(digest)
             self.misses += 1
             return None
