@@ -371,27 +371,18 @@ def _predictor_grid(variant: SiptVariant) -> Tuple[SweepSpec, ...]:
         for name in GEOMETRY_BY_BITS.values()}),)
 
 
-def _per_bits(outcomes: Callable[[SimResult], dict]
-              ) -> Callable[[Lookup], dict]:
-    """The reducer ``{app: {bits: outcomes(result)}}``."""
-    def reduce(get):
-        return {app: {bits: outcomes(get(name, app))
-                      for bits, name in GEOMETRY_BY_BITS.items()}
-                for app in EVALUATED_APPS}
-    return reduce
-
-
-def _bypass_outcomes(result: SimResult) -> dict:
-    fractions = result.outcomes.as_fractions()
-    fractions["accuracy"] = result.outcomes.prediction_accuracy
-    return fractions
-
-
-def _combined_outcomes(result: SimResult) -> dict:
-    fractions = result.outcomes.as_fractions()
-    return {"correct_speculation": fractions["correct_speculation"],
-            "idb_hit": fractions["idb_hit"],
-            "fast": result.outcomes.fast_fraction}
+def _per_bits(get) -> dict:
+    """Figs. 9/12: ``{app: {bits: outcome fractions}}``, plus each
+    run's prediction ``accuracy`` and ``fast`` fraction."""
+    table = {}
+    for app in EVALUATED_APPS:
+        table[app] = {}
+        for bits, name in GEOMETRY_BY_BITS.items():
+            outcomes = get(name, app).outcomes
+            table[app][bits] = {**outcomes.as_fractions(),
+                                "accuracy": outcomes.prediction_accuracy,
+                                "fast": outcomes.fast_fraction}
+    return table
 
 
 def _fig9_render(table) -> Rendered:
@@ -417,12 +408,12 @@ def _fig12_render(table) -> Rendered:
             ["app", "1 bit", "2 bits", "3 bits"], rows)
 
 
-FIG9 = Figure("fig9", _predictor_grid(SiptVariant.BYPASS),
-              _per_bits(_bypass_outcomes), _fig9_render)
+FIG9 = Figure("fig9", _predictor_grid(SiptVariant.BYPASS), _per_bits,
+              _fig9_render)
 # COMBINED is the default variant: most of these cells are Fig. 13's
 # and Fig. 18's.
 FIG12 = Figure("fig12", _predictor_grid(SiptVariant.COMBINED),
-               _per_bits(_combined_outcomes), _fig12_render)
+               _per_bits, _fig12_render)
 
 # -- Fig. 15: SIPT with IDB on the quad core (Table III mixes) ----------
 
