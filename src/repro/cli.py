@@ -223,7 +223,9 @@ def cmd_suite(args) -> int:
 
     A two-config sweep over :data:`EVALUATED_APPS`: the ``--geometry``
     L1, normalized against the VIPT baseline. The geometry comes first,
-    so fault ordinals count its rows; only its rows are printed.
+    so fault ordinals count its rows; only its rows are printed. An app
+    whose baseline cell failed has no ratios: it prints as ``no
+    baseline`` and stays out of the harmonic mean.
     """
     spec = SweepSpec(apps=list(EVALUATED_APPS),
                      configs={args.geometry: _l1(args),
@@ -238,10 +240,14 @@ def cmd_suite(args) -> int:
     speedups = []
     print(f"{'app':>14s} {'IPC':>7s} {'speedup':>8s} {'fast':>6s} "
           f"{'energy':>7s}")
-    for row in rows[:len(EVALUATED_APPS)]:
+    n = len(EVALUATED_APPS)
+    for row, base in zip(rows[:n], rows[n:]):
         app = row["app"]
         if row["status"] != "ok":
             print(f"{app:>14s} {'ERROR':>7s}  {row['error']}")
+            continue
+        if base["status"] != "ok":
+            print(f"{app:>14s} no baseline ({base['status']})")
             continue
         speedups.append(row["speedup"])
         print(f"{app:>14s} {row['ipc']:>7.3f} {row['speedup']:>8.3f} "

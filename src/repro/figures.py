@@ -493,9 +493,8 @@ def private_store(store: Optional[ResultStore] = None
                   ) -> Iterator[ReadOnceStore]:
     """A :class:`ReadOnceStore` on ``store``'s root, or — when ``None``
     — on a private ``tempfile.mkdtemp`` root that is removed on exit,
-    whatever ends the block (the same lifetime as a parallel sweep's
-    exchange root). A ``ReadOnceStore`` is yielded as itself, so every
-    figure computed on it shares one memo."""
+    whatever ends the block. A ``ReadOnceStore`` is yielded as itself,
+    so every figure computed on it shares one memo."""
     if isinstance(store, ReadOnceStore):
         yield store
     elif store is not None:

@@ -225,8 +225,8 @@ def run_bench(apps: Optional[Iterable[str]] = None,
 #: Default grid for the sweep-level benchmark: two apps with opposite
 #: locality profiles, a baseline plus two SIPT geometries, two seeds.
 #: Small enough for CI, large enough that every pool worker needs
-#: several traces and baselines — the redundancy the shared trace
-#: substrate and the warm exchange exist to eliminate.
+#: several traces — the redundancy the shared trace substrate exists
+#: to eliminate.
 SWEEP_BENCH_APPS = ("perlbench", "mcf")
 SWEEP_BENCH_CONFIGS = ("32K_2w", "64K_4w")
 
@@ -253,25 +253,12 @@ def _sweep_bench_spec(apps, configs, seeds, conditions=None):
                      conditions=list(conditions), baseline="baseline")
 
 
-def _clear_sweep_state() -> None:
-    """Reset every cross-sweep memo so a timed rep starts cold.
-
-    Pool workers fork from the benchmarking process, so baselines left
-    in the parent's process-wide warm-state cache would be inherited
-    and silently hide the redundant work the benchmark exists to
-    measure. (Sweeps take their traces from the fresh ``TraceCache``
-    each rep passes, never from a process-wide one.)
-    """
-    from .warmstate import warm_cache_for
-    warm_cache_for().clear()
-
-
 def _time_sweep_once(spec, n_accesses: int, jobs: int,
                      engine: str = "python"):
     """One cold wall-clock measurement of one run_sweep() mode.
 
-    Cold means: process-wide caches cleared, a fresh trace cache, and a
-    private checkpoint directory (so no journal resume can skip cells).
+    Cold means: a fresh trace cache and a private checkpoint directory
+    (so no journal resume can skip cells).
     ``engine`` is the replay engine every cell runs. Returns
     ``(seconds, rows)``.
     """
@@ -280,7 +267,6 @@ def _time_sweep_once(spec, n_accesses: int, jobs: int,
     from .experiment import TraceCache
     from .resilience import ResilientRunner
     from .sweep import run_sweep
-    _clear_sweep_state()
     tmp = tempfile.mkdtemp(prefix="repro-bench-sweep-")
     try:
         runner = ResilientRunner(jobs=jobs, checkpoint_dir=tmp)
@@ -316,7 +302,7 @@ def run_sweep_bench(apps: Optional[Iterable[str]] = None,
 
     * ``serial`` — ``--jobs 1``, the reference execution;
     * ``parallel`` — ``--jobs N``: the supervised pool with the shared
-      trace substrate and the warm exchange.
+      trace substrate.
 
     The two modes must produce identical rows — the benchmark raises
     :class:`~repro.errors.ConfigError` if they diverge, so a perf

@@ -379,13 +379,11 @@ class ResilientRunner:
         row verbatim without re-executing; error/timeout records
         re-execute.
         """
-        return self._run([(key, fn)], 1, None, degrade)[0]
+        return self._run([(key, fn)], 1, degrade)[0]
 
     def run_cells(self, cells: Sequence[Tuple[Dict[str, Any],
                                               Callable[[], Dict[str, Any]]]],
-                  jobs: Optional[int] = None,
-                  first: Optional[Callable[[Dict[str, Any]], bool]] = None
-                  ) -> List[Dict[str, Any]]:
+                  jobs: Optional[int] = None) -> List[Dict[str, Any]]:
         """Execute a batch of ``(key, fn)`` cells; rows in input order.
 
         Cells recorded ``ok`` in the resume journal return their
@@ -402,23 +400,16 @@ class ResilientRunner:
         list preserves the input order, so downstream CSVs are
         byte-identical in either mode. Cell callables must be picklable
         in parallel mode.
-
-        ``first`` is an optional predicate on a cell key: under
-        ``jobs > 1`` the cells it selects are dispatched before the
-        rest (a stable partition). It changes dispatch order only —
-        fault ordinals and rows still follow the input order, so a
-        fault spec hits the same cell in either mode.
         """
         jobs = self.jobs if jobs is None else jobs
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self._check_fault_mode(self.faults, jobs)
-        return self._run(cells, jobs, first, True)
+        return self._run(cells, jobs, True)
 
     def _run(self, cells: Sequence[Tuple[Dict[str, Any],
                                          Callable[[], Dict[str, Any]]]],
-             jobs: int, first: Optional[Callable[[Dict[str, Any]], bool]],
-             degrade: bool) -> List[Dict[str, Any]]:
+             jobs: int, degrade: bool) -> List[Dict[str, Any]]:
         """The one cell lifecycle: resume replay, execution, and the
         outcome-to-row path (journal record + stats) for both modes."""
         rows: List[Optional[Dict[str, Any]]] = [None] * len(cells)
@@ -457,8 +448,6 @@ class ResilientRunner:
                             if self.faults is not None else None),
                 sleep=self._sleep)
         else:
-            if first is not None:
-                pending.sort(key=lambda task: not first(task.key))
             executor = SupervisedPoolExecutor(
                 jobs, timeout_s=self.timeout_s, retry=self.retry,
                 max_worker_restarts=self.max_worker_restarts,

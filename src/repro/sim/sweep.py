@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import csv
 import io
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -53,12 +51,12 @@ from .executors import STATUS_OK
 from .experiment import (MixRecipe, TraceCache, mix_recipe, run_app,
                          trace_recipe)
 from .resilience import ResilientRunner
-from .warmstate import WarmStateCache, warm_cache_for
 
 #: The columns every sweep row carries, in CSV order. ``status`` is
 #: "ok" for a completed cell; "error"/"timeout"/"crashed"/"resumable"
 #: for a degraded one (metric columns then stay blank and ``error``
-#: holds the typed error).
+#: holds the typed error). ``speedup``/``energy_ratio`` are blank
+#: without a baseline, and when the group's baseline cell is not "ok".
 FIELDS = ["app", "config", "core", "condition", "seed", "ipc",
           "speedup", "l1_miss_rate", "fast_fraction",
           "extra_access_fraction", "energy_j", "energy_ratio",
@@ -107,7 +105,8 @@ class SweepSpec:
     baseline:
         Config name to normalize ``speedup``/``energy_ratio`` against
         (matched per app/core/condition/seed); ``None`` leaves the
-        ratio columns blank.
+        ratio columns blank, as does a baseline cell that is not
+        ``ok`` for its group's rows.
     """
 
     apps: List[str]
@@ -185,140 +184,112 @@ def grid_cells(spec: SweepSpec, n_accesses: Optional[int] = None):
                         yield cell_key(name, recipe, system), recipe, system
 
 
-def _result_row(key: Dict[str, object], result, base) -> dict:
-    """One finished cell's CSV row (no status fields).
+def _result_row(key: Dict[str, object], result) -> dict:
+    """One finished cell's CSV row (no status fields, blank ratios).
 
-    The single source of truth for how a ``SimResult`` (plus its
-    optional normalization baseline) becomes row values — executed
-    cells, pool workers, and store hits all call this, so a row's
-    bytes cannot depend on *where* the result came from. A mix cell's
-    row sums IPC and energy over its cores (``speedup`` is the
-    sum-of-IPC ratio) and averages the per-core fractions.
+    The single source of truth for how a ``SimResult`` becomes row
+    values — executed cells, pool workers, and store hits all call
+    this, so a row's bytes cannot depend on *where* the result came
+    from. A mix cell's row sums IPC and energy over its cores and
+    averages the per-core fractions. The ratio columns are filled
+    afterwards from the group's baseline row (:func:`_fill_ratios`).
     """
-    row = {name: key[name] for name in FIELDS[:5]}
+    row = {**{name: key[name] for name in FIELDS[:5]},
+           "speedup": "", "energy_ratio": ""}
     if isinstance(result, list):
         n = len(result)
-        ipc = sum(r.ipc for r in result)
-        energy = sum(r.energy.total for r in result)
         row.update({
-            "ipc": ipc,
-            "speedup": ipc / sum(r.ipc for r in base) if base else "",
+            "ipc": sum(r.ipc for r in result),
             "l1_miss_rate": sum(r.l1_stats.miss_rate for r in result) / n,
             "fast_fraction": sum(r.fast_fraction for r in result) / n,
             "extra_access_fraction": sum(
                 r.extra_access_fraction for r in result) / n,
-            "energy_j": energy,
-            "energy_ratio": (energy / sum(r.energy.total for r in base)
-                             if base else ""),
+            "energy_j": sum(r.energy.total for r in result),
         })
         return row
     row.update({
         "ipc": result.ipc,
-        "speedup": result.speedup_over(base) if base else "",
         "l1_miss_rate": result.l1_stats.miss_rate,
         "fast_fraction": result.fast_fraction,
         "extra_access_fraction": result.extra_access_fraction,
         "energy_j": result.energy.total,
-        "energy_ratio": result.energy_over(base) if base else "",
     })
     return row
 
 
-def _simulated(key: Dict[str, object],
-               recipe: Union[TraceRecipe, MixRecipe], system: SystemConfig,
-               source: Union[TraceHandle, Tuple[TraceHandle, ...],
-                             TraceCache],
-               warm: WarmStateCache, engine: str, baseline: bool,
-               checkpoint_every: Optional[int] = None,
-               checkpoint_path: Optional[Path] = None,
-               exchange: bool = False):
-    """One run's result: memoized for a baseline run, else simulated.
+def _fill_ratios(baseline: Optional[str], grid: List[tuple],
+                 rows: List[dict]) -> None:
+    """Fill ``speedup``/``energy_ratio`` of ``rows`` in place.
 
-    ``key`` is the run's :func:`cell_key`; its ``cell`` identity keys
-    the warm cache, so nothing here digests the config again.
-    ``baseline`` runs — a cell whose system is the baseline's, and
-    every normalization run — read the warm cache first; on a miss
-    they restore and snapshot warm state and keep their result in the
-    warm cache's LRU tier for their siblings. The trace comes from
-    ``source`` only when the run simulates; a mix's member traces come
-    from its tuple of handles, or one by one from the cache, and replay
-    together through :func:`~repro.sim.driver.simulate_multicore`
-    (which has no checkpoints or warm state). Results go to the cache's
-    store tier when one is bound, a memoized one included, with
-    ``key`` as its meta sidecar: every result to a ``--store`` root,
-    only baseline results to a parallel sweep's ephemeral ``exchange``
-    root, since nothing reads the others back. While data faults are
-    armed nothing is read or published: a faulted run's divergence is
-    intentional and must never serve another cell.
+    ``rows`` are ``grid``'s rows in :func:`grid_cells` order. Each
+    ``ok`` row is normalized against the ``ok`` row of its (trace,
+    core) group's ``baseline`` cell, which the grid always holds
+    (:class:`SweepSpec` rejects a baseline outside its configs). The
+    ratios are plain quotients of the two rows' ``ipc`` and
+    ``energy_j``, so an executed, store-served or journal-resumed row
+    normalizes to the same bytes. A row whose baseline cell is not
+    ``ok`` keeps blank ratio columns; so does every row when
+    ``baseline`` is ``None``.
     """
-    faulted = _faults.any_armed()
-    cell = key["cell"]
-    if baseline and not faulted:
-        result = warm.fetch_result(cell)
-        if result is not None:
-            warm.store_result(cell, result, meta=key)
-            return result
-    if isinstance(recipe, MixRecipe):
-        traces = ([attach(handle) for handle in source]
-                  if isinstance(source, tuple)
-                  else [source.of(member) for member in recipe.members])
-        result = simulate_multicore(traces, system, engine=engine)
-    else:
-        trace = (attach(source) if isinstance(source, TraceHandle)
-                 else source.of(recipe))
-        result = run_app(recipe.app, system,
-                         checkpoint_every=checkpoint_every,
-                         checkpoint_path=checkpoint_path,
-                         resume_checkpoint=checkpoint_path, trace=trace,
-                         warm_state=warm if baseline else None,
-                         engine=engine)
-    if not faulted and (baseline or not exchange):
-        warm.store_result(cell, result, meta=key, remember=baseline)
-    return result
+    if baseline is None:
+        return
+    bases = {(recipe, system.core): row
+             for (key, recipe, system), row in zip(grid, rows)
+             if key["config"] == baseline and row["status"] == STATUS_OK}
+    for (_key, recipe, system), row in zip(grid, rows):
+        base = bases.get((recipe, system.core))
+        if base is not None and row["status"] == STATUS_OK:
+            row["speedup"] = row["ipc"] / base["ipc"]
+            row["energy_ratio"] = row["energy_j"] / base["energy_j"]
 
 
 def _parallel_cell(key: Dict[str, object],
                    recipe: Union[TraceRecipe, MixRecipe],
                    system: SystemConfig,
-                   base: Optional[Tuple[Dict[str, object], SystemConfig]],
                    checkpoint_every: Optional[int],
                    checkpoint_path: Optional[Path],
                    source: Union[TraceHandle, Tuple[TraceHandle, ...],
                                  TraceCache],
                    store: Optional[ResultStore],
-                   engine: str = "python", exchange: bool = False) -> dict:
+                   engine: str = "python") -> dict:
     """One sweep cell as a self-contained task — the only cell task.
 
     Serial sweeps run it in-process; ``--jobs N`` sweeps pickle it to a
     pool worker. The trace comes from ``source``: a substrate handle
     (a zero-copy attach of the parent's published segment; a mix's
     tuple of them) under ``--jobs N``, the sweep's :class:`TraceCache`
-    when serial. ``store`` is bound as the process warm cache's store
-    tier; ``exchange`` marks it as a storeless sweep's ephemeral
-    baseline exchange (see :func:`_simulated`). ``base`` is the
-    ``(key, system)`` of the cell's normalization run (the spec's
-    baseline config on this cell's trace and core), or ``None``.
-    Everything is deterministic, so the row is identical whichever
-    process ran it — including under checkpointing, where
-    ``checkpoint_path`` doubles as the resume source (a missing file
-    just means a fresh start).
+    when serial. A mix's members replay together through
+    :func:`~repro.sim.driver.simulate_multicore` (which has no
+    checkpoints). The result is published to ``store`` when one is
+    bound, with ``key`` as its meta sidecar — unless data faults were
+    armed: a faulted run's divergence is intentional and must never
+    serve another cell. Everything is deterministic, so the row is
+    identical whichever process ran it — including under
+    checkpointing, where ``checkpoint_path`` doubles as the resume
+    source (a missing file just means a fresh start). The row's ratio
+    columns stay blank; :func:`run_sweep` fills them.
     """
+    faulted = _faults.any_armed()
     try:
-        warm = warm_cache_for(store)
-        result = _simulated(key, recipe, system, source, warm, engine,
-                            baseline=(base is not None
-                                      and key["cell"] == base[0]["cell"]),
-                            checkpoint_every=checkpoint_every,
-                            checkpoint_path=checkpoint_path,
-                            exchange=exchange)
-        base_result = None
-        if base is not None:
-            base_result = _simulated(base[0], recipe, base[1], source, warm,
-                                     engine, baseline=True)
+        if isinstance(recipe, MixRecipe):
+            traces = ([attach(handle) for handle in source]
+                      if isinstance(source, tuple)
+                      else [source.of(member) for member in recipe.members])
+            result = simulate_multicore(traces, system, engine=engine)
+        else:
+            trace = (attach(source) if isinstance(source, TraceHandle)
+                     else source.of(recipe))
+            result = run_app(recipe.app, system,
+                             checkpoint_every=checkpoint_every,
+                             checkpoint_path=checkpoint_path,
+                             resume_checkpoint=checkpoint_path, trace=trace,
+                             engine=engine)
     except ReproError as exc:
         raise exc.with_context(app=recipe.app, config=key["config"],
                                seed=recipe.seed)
-    return _result_row(key, result, base_result)
+    if store is not None and not faulted:
+        store.store_result(key["cell"], result, meta=key)
+    return _result_row(key, result)
 
 
 def _publish(trace_store: TraceStore, traces: TraceCache,
@@ -334,61 +305,22 @@ def _publish(trace_store: TraceStore, traces: TraceCache,
     return trace_store.publish(traces.of(recipe), key=recipe)
 
 
-def _baseline_cells(spec: SweepSpec, grid: List[tuple]
-                    ) -> Dict[tuple, Tuple[Dict[str, object], SystemConfig]]:
-    """Each (trace, core) group's normalization run: the ``(key,
-    system)`` of the spec's baseline cell on that trace and core.
-
-    The baseline config is one of the spec's configs, so every group's
-    baseline cell is already in ``grid`` (:func:`grid_cells` order) and
-    its identity is never derived again. Empty without a baseline.
-    """
-    if spec.baseline is None:
-        return {}
-    return {(recipe, system.core): (key, system)
-            for key, recipe, system in grid
-            if key["config"] == spec.baseline}
-
-
-def _stored_rows(grid: List[tuple], bases: Dict[tuple, tuple],
-                 store: ResultStore, skip=lambda key: False):
+def _stored_rows(grid: List[tuple], store: ResultStore,
+                 skip=lambda key: False):
     """Yield ``(key, row)`` per cell of ``grid``, composed from the store.
 
-    ``grid`` is a spec's :func:`grid_cells` list and ``bases`` its
-    :func:`_baseline_cells`. The one store-hit rule: a hit needs the
-    cell's own result **and**, when the spec has a ``baseline``, the
-    stored baseline result for its (app, core, condition, seed) group —
-    the ratio columns are computed exactly like an executed cell
-    computes them, from the same two deterministic results, so the row
-    bytes match a cold run. Anything missing or unreadable is a miss
-    (``row`` is ``None``), as is every cell ``skip(key)`` selects —
-    those are never read. Entries are found by cell identity, so no
-    trace is generated, and each digest is read at most once per pass:
-    one baseline read fills its own row and its siblings' ratio
-    columns.
+    ``grid`` is a spec's :func:`grid_cells` list. The one store-hit
+    rule: a cell whose own result is stored is a hit, its row built by
+    the same :func:`_result_row` an executed cell uses (ratio columns
+    blank), so the row bytes match a cold run. Anything missing or
+    unreadable is a miss (``row`` is ``None``), as is every cell
+    ``skip(key)`` selects — those are never read. Entries are found by
+    cell identity, so no trace is generated, and each cell is read
+    once.
     """
-    read: Dict[str, object] = {}
-
-    def fetch(cell: str):
-        if cell not in read:
-            read[cell] = store.fetch_result(cell)
-        return read[cell]
-
-    for key, recipe, system in grid:
-        if skip(key):
-            yield key, None
-            continue
-        base = None
-        if bases:
-            base = fetch(bases[(recipe, system.core)][0]["cell"])
-            if base is None:
-                yield key, None
-                continue
-        result = fetch(key["cell"])
-        if result is None:
-            yield key, None
-            continue
-        yield key, _result_row(key, result, base)
+    for key, _recipe, _system in grid:
+        result = None if skip(key) else store.fetch_result(key["cell"])
+        yield key, None if result is None else _result_row(key, result)
 
 
 def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
@@ -404,9 +336,16 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     :class:`ResilientRunner` if omitted): a failing cell contributes an
     error row instead of aborting the grid. Pass a runner with a
     ``journal`` to checkpoint, and one with ``resume_from`` to skip the
-    cells a previous run completed. Baseline runs are computed lazily
-    per (core, condition, seed) group, so fully-resumed groups skip
-    them entirely.
+    cells a previous run completed.
+
+    With a ``baseline``, each row's ``speedup``/``energy_ratio`` are
+    its ``ipc``/``energy_j`` over those of its (app, core, condition,
+    seed) group's baseline row, filled in after every cell has
+    finished, whether it executed, was served by the store or was
+    resumed from the journal. A row whose baseline cell is not ``ok``
+    keeps blank ratio columns, and the journal holds every row with
+    blank ratio columns, so a resume that completes the baseline fills
+    its siblings' ratios.
 
     With ``checkpoint_every`` (requires a runner constructed with
     ``checkpoint_dir``), each cell additionally snapshots its
@@ -416,9 +355,11 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     period of work per cell, not whole cells. Journal resume (cells)
     and checkpoint resume (accesses within a cell) compose: the journal
     skips finished cells, the checkpoint fast-forwards the interrupted
-    one. Baseline runs are cheap shared work and stay uncheckpointed.
-    Mix cells have no mid-run checkpoints, so a grid with a mix name
-    and ``checkpoint_every`` raises :class:`~repro.errors.ConfigError`.
+    one. Mix cells have no mid-run checkpoints and consume no armed
+    fault, so a grid with a mix name raises
+    :class:`~repro.errors.ConfigError` under ``checkpoint_every`` or a
+    fault spec that ``simulate`` consumes (``corrupt_trace``,
+    ``poison_predictor``, ``crash@N@ACCESS``).
 
     Every ``jobs`` value runs the same task list (one
     :func:`_parallel_cell` per grid cell) through
@@ -428,22 +369,12 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     is contained to the executing cell, bystanders are rescheduled, and
     row order, fault ordinals, journal semantics, and resume behaviour
     are identical to the serial run — the CSV is byte-for-byte the
-    same. Two redundancy eliminations apply (both deterministic, both
-    leaving rows byte-identical — see ``docs/architecture.md``):
-
-    * under ``jobs > 1``, each pending cell's trace is rendered *once*
-      in the parent and published as a shared-memory segment
-      (:class:`~repro.workloads.substrate.TraceStore`); workers attach
-      zero-copy instead of regenerating per process;
-    * the first completed baseline run per (trace, config) is kept in
-      the process's :class:`WarmStateCache` and reused by the sibling
-      runs (the baseline grid cell and every cell's normalization run)
-      instead of re-simulating. Parallel sweeps submit baseline-config
-      cells first and exchange their results through the store tier:
-      the ``store`` root, or an ephemeral root without one.
-
-    Shared-memory segments and the ephemeral root are removed in a
-    ``finally`` — worker crashes and ``KeyboardInterrupt`` included.
+    same. Under ``jobs > 1``, each pending cell's trace is rendered
+    *once* in the parent and published as a shared-memory segment
+    (:class:`~repro.workloads.substrate.TraceStore`); workers attach
+    zero-copy instead of regenerating per process. The segments are
+    removed in a ``finally`` — worker crashes and
+    ``KeyboardInterrupt`` included.
 
     With a ``store`` (a :class:`~repro.store.ResultStore` or a store
     root path; CLI: ``sweep --store``), the grid is deduped against
@@ -458,12 +389,11 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     fault-injection campaigns (their results intentionally diverge and
     must never enter — or be served from — the store).
 
-    ``engine`` selects the replay implementation for every cell and
-    baseline run (``"python"`` oracle or the byte-identical
-    ``"kernel"`` array engine — see ``repro.sim.kernel``); because the
-    kernel is oracle-equivalent, the CSV is identical either way.
-    Engine is deliberately *excluded* from the store digest for the
-    same reason.
+    ``engine`` selects the replay implementation for every cell
+    (``"python"`` oracle or the byte-identical ``"kernel"`` array
+    engine — see ``repro.sim.kernel``); because the kernel is
+    oracle-equivalent, the CSV is identical either way. Engine is
+    deliberately *excluded* from the store digest for the same reason.
     """
     traces = traces or TraceCache()
     runner = runner or ResilientRunner()
@@ -476,6 +406,13 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
         raise ConfigError(
             f"checkpoint_every cannot apply to mix cells {mixes}: a "
             "multicore run has no mid-run checkpoints")
+    if mixes and any(f.kind in _faults.FaultSpec.DATA_KINDS
+                     or f.at_access is not None
+                     for f in getattr(runner.faults, "faults", ())):
+        raise ConfigError(
+            "corrupt_trace, poison_predictor and crash@N@ACCESS faults "
+            f"cannot apply to a grid with mix cells {mixes}: only a "
+            "single-core simulate consumes them")
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
     # Only *simulation* faults disarm the store — their injected
@@ -487,20 +424,17 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
                               or _faults.any_armed()):
         store = None
     # One walk of the grid serves the store pre-pass, the task list and
-    # the normalization runs: each cell's identity is derived once.
+    # the ratio fill: each cell's identity is derived once.
     grid = list(grid_cells(spec, n_accesses))
-    bases = _baseline_cells(spec, grid)
     hits: Dict[int, dict] = {}
     if store is not None:
         for i, (key, row) in enumerate(_stored_rows(
-                grid, bases, store, skip=runner.completed_ok)):
+                grid, store, skip=runner.completed_ok)):
             if row is not None:
                 hits[i] = runner.record_hit(key, row)
     cells = [cell for i, cell in enumerate(grid) if i not in hits]
     handles: Dict[tuple, Union[TraceHandle, Tuple[TraceHandle, ...]]] = {}
-    tier = store
     trace_store: Optional[TraceStore] = None
-    exchange: Optional[str] = None
     try:
         if runner.jobs > 1:
             trace_store = TraceStore()
@@ -509,36 +443,23 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
             for recipe in sorted(pending, key=lambda r: (
                     r.app, r.condition.value, r.seed)):
                 handles[recipe] = _publish(trace_store, traces, recipe)
-            if tier is None and spec.baseline is not None:
-                exchange = tempfile.mkdtemp(prefix="repro-warm-")
-                tier = ResultStore(exchange)
         tasks = [(key, partial(
-            _parallel_cell, key, recipe, system,
-            bases.get((recipe, system.core)), checkpoint_every,
+            _parallel_cell, key, recipe, system, checkpoint_every,
             (checkpoint_path_for(runner.checkpoint_dir, key)
              if checkpoint_every else None),
-            handles.get(recipe, traces), tier,
-            engine=engine, exchange=exchange is not None))
+            handles.get(recipe, traces), store, engine=engine))
             for key, recipe, system in cells]
-        # Baseline-first submission: under --jobs N every baseline-config
-        # cell is dispatched before any sibling, so by the time the
-        # siblings' normalization runs look for the baseline result it
-        # is already in the store tier — otherwise concurrent workers
-        # race the baseline cell and each re-simulates the baseline
-        # themselves. Ordinals and row order stay in grid order.
-        executed = iter(runner.run_cells(
-            tasks, first=lambda key: key["config"] == spec.baseline))
+        executed = iter(runner.run_cells(tasks))
     finally:
         if trace_store is not None:
             trace_store.close()
-        if exchange is not None:
-            shutil.rmtree(exchange, ignore_errors=True)
-        warm_cache_for(None)  # unbind this sweep's store tier
-    rows = (hits[i] if i in hits else next(executed)
-            for i in range(len(hits) + len(tasks)))
     # A degraded row carries its cell key, whose ``cell`` is not a CSV
     # column; every row is cut to FIELDS.
-    return [{name: row.get(name, "") for name in FIELDS} for row in rows]
+    rows = [{name: row.get(name, "") for name in FIELDS}
+            for row in (hits[i] if i in hits else next(executed)
+                        for i in range(len(grid)))]
+    _fill_ratios(spec.baseline, grid, rows)
+    return rows
 
 
 def rows_from_store(spec: SweepSpec, n_accesses: Optional[int],
@@ -548,21 +469,24 @@ def rows_from_store(spec: SweepSpec, n_accesses: Optional[int],
     The read-only counterpart of a sweep: no cell executes. Returns
     ``(rows, missing)`` — ``rows`` in :func:`grid_cells` order with the
     same bytes a cold :func:`run_sweep` would produce (same
-    :func:`_result_row`, ``status="ok"``), and ``missing`` the cell
-    keys the store cannot satisfy yet (result absent, or the group's
-    baseline absent when the spec normalizes). ``rows`` is complete
-    only when ``missing`` is empty — the ``repro jobs result`` gate.
+    :func:`_result_row` and :func:`_fill_ratios`, ``status="ok"``), and
+    ``missing`` the cell keys the store cannot satisfy yet (result
+    absent, or the group's baseline absent when the spec normalizes);
+    their rows are blank. ``rows`` is complete only when ``missing`` is
+    empty — the ``repro jobs result`` gate.
     """
     blank = {name: "" for name in FIELDS}
-    rows: List[dict] = []
-    missing: List[dict] = []
     grid = list(grid_cells(spec, n_accesses))
-    for key, row in _stored_rows(grid, _baseline_cells(spec, grid), store):
-        if row is None:
+    rows = [dict(blank) if row is None
+            else {**blank, **row, "status": STATUS_OK, "error": ""}
+            for _key, row in _stored_rows(grid, store)]
+    _fill_ratios(spec.baseline, grid, rows)
+    missing: List[dict] = []
+    for i, (key, _recipe, _system) in enumerate(grid):
+        if rows[i]["status"] != STATUS_OK or (
+                spec.baseline is not None and rows[i]["speedup"] == ""):
             missing.append(key)
-            rows.append(blank)
-        else:
-            rows.append({**blank, **row, "status": STATUS_OK, "error": ""})
+            rows[i] = dict(blank)
     return rows, missing
 
 

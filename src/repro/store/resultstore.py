@@ -252,6 +252,7 @@ class ResultStore:
     def __init__(self, root: Optional[Union[str, Path]] = None,
                  cap_bytes: Optional[int] = None):
         self.root = Path(root) if root else default_store_root()
+        self._layout_dir = self.root / LAYOUT
         if cap_bytes is None:
             cap_bytes = _env_bytes("REPRO_STORE_CAP", DEFAULT_CAP_BYTES)
         self.cap_bytes = cap_bytes
@@ -298,7 +299,7 @@ class ResultStore:
     @property
     def layout_dir(self) -> Path:
         """The versioned entry directory (``<root>/v1``)."""
-        return self.root / LAYOUT
+        return self._layout_dir
 
     def digest(self, recipe, system) -> str:
         """Digest for (``recipe``, ``system``): :func:`cell_identity`."""
@@ -306,15 +307,15 @@ class ResultStore:
 
     def result_path(self, digest: str) -> Path:
         """Where ``digest``'s pickled ``SimResult`` lives."""
-        return self.layout_dir / digest[:2] / f"{digest}.result.pkl"
+        return self._layout_dir.joinpath(digest[:2], f"{digest}.result.pkl")
 
     def state_path(self, digest: str) -> Path:
         """Where ``digest``'s rendered repro-ckpt-2 snapshot lives."""
-        return self.layout_dir / digest[:2] / f"{digest}.state.json"
+        return self._layout_dir.joinpath(digest[:2], f"{digest}.state.json")
 
     def meta_path(self, digest: str) -> Path:
         """Where ``digest``'s human-readable provenance record lives."""
-        return self.layout_dir / digest[:2] / f"{digest}.meta.json"
+        return self._layout_dir.joinpath(digest[:2], f"{digest}.meta.json")
 
     def contains(self, digest: str) -> bool:
         """Whether a result entry for ``digest`` exists (unverified)."""

@@ -264,9 +264,9 @@ def test_only_none_resolves_to_the_default_length(monkeypatch):
 # ---------------------------------------------------------------------
 
 def test_serial_suite_shaped_sweep_restores_no_snapshot(monkeypatch):
-    """Suite order: geometry cells first, then the baseline config. Each
-    baseline is simulated once (as a normalization run); the baseline
-    cells are memo hits, with no context rebuilt or state restored."""
+    """Suite order: geometry cells first, then the baseline config.
+    Each cell simulates once, the baselines included, and no state is
+    restored."""
     restores, sims = [], []
     real_load = driver._CoreContext.load_state_dict
     real_simulate = experiment.simulate

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import GEOMETRIES, build_parser, main
+from repro.sim import harmonic_mean
+from repro.workloads import EVALUATED_APPS
 
 
 def test_list_command(capsys):
@@ -143,6 +145,23 @@ def test_suite_reports_error_rows(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ERROR" in out
     assert "hmean speedup" in out
+
+
+def test_suite_prints_no_baseline_for_a_failed_baseline_cell(capsys):
+    # The geometry's 26 cells come first, so ordinal 26 is the first
+    # app's baseline cell: its geometry row has no ratios to print and
+    # stays out of the harmonic mean.
+    rc = main(["suite", "--accesses", "800", "--inject",
+               "transient@26x99", "--retries", "0"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == [EVALUATED_APPS[0], "no", "baseline",
+                                "(error)"]
+    speedups = [float(line.split()[2]) for line in lines[2:-1]]
+    assert len(speedups) == len(EVALUATED_APPS) - 1
+    assert lines[-1].split()[:2] == ["hmean", "speedup"]
+    assert float(lines[-1].split()[2]) == pytest.approx(
+        harmonic_mean(speedups), abs=2e-3)
 
 
 def test_suite_parallel_stdout_matches_serial(capsys):

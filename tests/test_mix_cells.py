@@ -18,6 +18,7 @@ from repro.sim import (BASELINE_L1, SIPT_GEOMETRIES, ResilientRunner,
                        simulate_multicore, system_for)
 from repro.sim.experiment import (MixRecipe, TraceCache, mix_recipe,
                                   trace_recipe)
+from repro.sim.faults import FaultInjector
 from repro.sim.sweep import SweepSpec, grid_cells, run_sweep
 from repro.store import ResultStore, cell_identity, diagnose
 from repro.workloads import MemoryCondition, TraceStore, get_mix
@@ -139,6 +140,27 @@ def test_mix_grid_with_checkpoints_is_a_config_error(tmp_path):
     rows = run_sweep(mix_spec(apps=["gamess"]), N, runner=runner,
                      checkpoint_every=100)
     assert [r["status"] for r in rows] == ["ok", "ok"]
+
+
+@pytest.mark.parametrize("fault", ["corrupt_trace@1", "poison_predictor@3",
+                                   "crash@2@100"])
+def test_mix_grid_with_a_fault_simulate_consumes_is_a_config_error(fault):
+    """Only a single-core ``simulate`` consumes these faults; a grid
+    with a mix name rejects them before any cell runs, wherever the
+    ordinal points."""
+    runner = ResilientRunner(faults=FaultInjector([fault]))
+    with pytest.raises(ConfigError, match="mix0"):
+        run_sweep(mix_spec(), N, runner=runner)
+    assert runner.stats.total == 0
+
+
+def test_mix_sweep_with_a_data_fault_exits_1(tmp_path, capsys):
+    out = tmp_path / "mix.csv"
+    assert main(["sweep", "--apps", "mix0,gamess", "--geometries",
+                 "baseline", "--accesses", str(N), "--inject",
+                 "corrupt_trace@0", "--out", str(out)]) == 1
+    assert "mix0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_store_type_gate_takes_simresults_or_lists_of_them(tmp_path):

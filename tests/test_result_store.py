@@ -302,42 +302,39 @@ def test_store_disabled_under_fault_injection(tmp_path):
     assert runner.stats.store_hits == 0
 
 
-def test_missing_baseline_keeps_cell_cold(tmp_path, trace):
-    """A stored cell without its stored baseline must simulate."""
+def test_missing_baseline_simulates_only_the_baseline(tmp_path):
+    """A stored cell is a hit even when its group's baseline is not
+    stored: only the baseline simulates, and the sibling's ratios come
+    from the fresh baseline row."""
     spec = spec_small()
     store = ResultStore(tmp_path)
-    run_sweep(spec, n_accesses=600, traces=TraceCache(), store=store)
-    # Drop only the baseline entry; the sipt cell's hit is then useless
-    # for the ratio columns and the whole row must recompute.
+    cold = run_sweep(spec, n_accesses=600, traces=TraceCache(), store=store)
     for key, _recipe, _system in grid_cells(spec, 600):
         if key["config"] == "base":
             store._discard(key["cell"])
     runner = ResilientRunner()
     rows = run_sweep(spec, n_accesses=600, traces=TraceCache(),
                      runner=runner, store=ResultStore(tmp_path))
-    assert runner.stats.store_hits == 0
-    assert all(r["status"] == "ok" for r in rows)
+    assert runner.stats.store_hits == 1
+    assert rows_blob(rows) == rows_blob(cold)
+
+
+def test_rows_from_store_without_baseline_keeps_sibling_missing(tmp_path):
+    spec = spec_small()
+    store = ResultStore(tmp_path)
+    run_sweep(spec, n_accesses=600, traces=TraceCache(), store=store)
+    base = [key for key, _r, _s in grid_cells(spec, 600)
+            if key["config"] == "base"]
+    for key in base:
+        store._discard(key["cell"])
+    rows, missing = rows_from_store(spec, 600, ResultStore(tmp_path))
+    assert len(missing) == len(rows) == 2  # the baseline and its sibling
+    assert all(row["status"] == "" for row in rows)
 
 
 # ---------------------------------------------------------------------
-# Ephemeral tier: the cross-invocation warm-reuse bugfix
+# The sweep leaves the process-wide warm cache unbound
 # ---------------------------------------------------------------------
-
-def test_serial_sweeps_share_ephemeral_warm_cache_across_calls():
-    """Regression: each run_sweep used to build a private cache, so a
-    second invocation in the same process re-simulated every baseline
-    the first had already published."""
-    cache = warmstate.warm_cache_for()
-    assert cache is warmstate.warm_cache_for()  # process-wide singleton
-    spec = SweepSpec(apps=["tonto"],
-                     configs={"base": BASELINE_L1,
-                              "sipt": SIPT_GEOMETRIES["32K_2w"]},
-                     seeds=[0], baseline="base")
-    run_sweep(spec, n_accesses=500, traces=TraceCache())
-    hits_before = cache.hits
-    run_sweep(spec, n_accesses=500, traces=TraceCache())
-    assert cache.hits > hits_before
-
 
 def test_ephemeral_store_tier_detaches_after_sweep(tmp_path):
     run_sweep(spec_small(), n_accesses=600, traces=TraceCache(),
@@ -449,13 +446,11 @@ def counted(monkeypatch):
 def test_store_served_grid_takes_one_identity_and_one_read_per_cell(
         tmp_path, counted):
     spec = warm_grid_spec()
-    warmstate.warm_cache_for().clear()
     cold = run_sweep(spec, n_accesses=600, traces=TraceCache(),
                      engine="kernel", store=ResultStore(tmp_path))
-    # A cold sweep reads each group's baseline once in the pre-pass,
-    # which then skips the group, and once more when its baseline run
-    # looks in the warm cache's store tier: 12 + 12.
-    assert len(counted["fetch"]) <= 24
+    # A cold sweep reads each cell once, in the pre-pass, and executed
+    # cells read nothing back.
+    assert len(counted["fetch"]) == len(set(counted["fetch"])) == 36
     for compose in (
             lambda: run_sweep(spec, n_accesses=600, traces=TraceCache(),
                               runner=ResilientRunner(),
@@ -465,8 +460,8 @@ def test_store_served_grid_takes_one_identity_and_one_read_per_cell(
         counted["fetch"].clear()
         rows = compose()
         assert rows_blob(rows) == rows_blob(cold)
-        # One identity per cell; one baseline read serves its own row
-        # and its siblings' ratio columns.
+        # One identity and one read per cell; the ratio columns come
+        # from the baseline rows already read.
         assert counted["identity"] == 36
         assert len(counted["fetch"]) == len(set(counted["fetch"])) == 36
 

@@ -57,8 +57,9 @@ def test_transient_worker_kill_keeps_sweep_byte_identical(tmp_path):
 
 def test_lethal_cell_contained_and_resume_completes(tmp_path):
     """A cell that kills every worker: exactly one crashed row,
-    bystanders byte-identical to serial, and a faultless --resume run
-    converges to the uninterrupted serial CSV."""
+    bystanders byte-identical to serial except for the crashed
+    baseline's sibling, whose ratio columns are blank, and a faultless
+    --resume run converges to the uninterrupted serial CSV."""
     serial_rows, reference = _serial_reference(tmp_path)
     journal = tmp_path / "chaos.jsonl"
     with ResilientRunner(jobs=2, journal=journal,
@@ -70,9 +71,15 @@ def test_lethal_cell_contained_and_resume_completes(tmp_path):
         assert "quarantined" in bad[0]["error"]
         assert runner.stats.crashed == 1
         assert runner.stats.rescheduled >= 1
-    # Bystander rows are byte-for-byte the serial rows.
+    # Cell 1 is gamess' baseline for seed 0; its sipt sibling has no
+    # baseline row to normalize against. Every other bystander row is
+    # byte-for-byte the serial row.
+    assert (bad[0]["app"], bad[0]["config"], bad[0]["seed"]) \
+        == ("gamess", "base", 0)
     for row, ref in zip(rows, serial_rows):
-        if row["status"] == "ok":
+        if (row["app"], row["config"], row["seed"]) == ("gamess", "sipt", 0):
+            assert row == {**ref, "speedup": "", "energy_ratio": ""}
+        elif row["status"] == "ok":
             assert row == ref
     # Resume without faults: the quarantined cell re-executes, the ok
     # cells replay from the journal, and the CSV matches serial exactly.

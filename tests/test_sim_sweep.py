@@ -1,10 +1,13 @@
 """Tests for the parameter-sweep utility."""
 
 import csv
+import sys
 
 import pytest
 
-from repro.sim import BASELINE_L1, SIPT_GEOMETRIES, ResilientRunner, TraceCache
+from repro.sim import (BASELINE_L1, SIPT_GEOMETRIES, FaultInjector,
+                       ResilientRunner, RetryPolicy, TraceCache)
+from repro.sim.resilience import load_journal
 from repro.sim.sweep import FIELDS, SweepSpec, run_sweep, to_csv
 from repro.workloads import MemoryCondition
 
@@ -99,3 +102,90 @@ def test_journal_does_not_resume_a_different_access_count(tmp_path):
         assert runner.stats.resumed == 0
     fresh = run_sweep(spec, n_accesses=3000, traces=CACHE)
     assert resumed == fresh
+
+
+# ---------------------------------------------------------------------
+# Ratio columns come from the group's baseline row
+# ---------------------------------------------------------------------
+
+def test_failed_baseline_blanks_sibling_ratios_until_resume(tmp_path):
+    """Grid order: base povray (0), base gamess (1), sipt povray (2),
+    sipt gamess (3). With cell 1 failed, gamess' sipt row is ok with
+    blank ratios; the journal holds every ok row with blank ratios, and
+    a resume that completes the baseline fills them."""
+    journal = tmp_path / "sweep.jsonl"
+    with ResilientRunner(journal=journal,
+                         retry=RetryPolicy(max_retries=0),
+                         faults=FaultInjector(["transient@1x9"])) as runner:
+        rows = run_sweep(small_spec(), n_accesses=1200, traces=CACHE,
+                         runner=runner)
+    assert [r["status"] for r in rows] == ["ok", "error", "ok", "ok"]
+    assert rows[3]["speedup"] == rows[3]["energy_ratio"] == ""
+    assert rows[2]["speedup"] != "" and rows[2]["energy_ratio"] != ""
+    ok = [r["row"] for r in load_journal(journal).values()
+          if r["status"] == "ok"]
+    assert len(ok) == 3
+    assert {(row["speedup"], row["energy_ratio"]) for row in ok} \
+        == {("", "")}
+    with ResilientRunner(journal=journal, resume_from=journal) as runner:
+        resumed = run_sweep(small_spec(), n_accesses=1200, traces=CACHE,
+                            runner=runner)
+        assert runner.stats.resumed == 3
+    assert resumed == run_sweep(small_spec(), n_accesses=1200,
+                                traces=CACHE)
+
+
+def test_faulted_baseline_row_normalizes_itself_and_its_siblings():
+    """A data fault armed on a baseline-config cell: the row stays ok
+    (one poisoned perceptron entry is never read at this length), its
+    ratios are exactly 1.0, and its sibling is normalized to it."""
+    injector = FaultInjector(["poison_predictor@1x1"])
+    rows = run_sweep(small_spec(apps=["gamess"], baseline="sipt"),
+                     n_accesses=1500, traces=CACHE,
+                     runner=ResilientRunner(faults=injector))
+    assert ("poison_predictor", 1, 0) in injector.fired
+    sibling, base = rows
+    assert base["config"] == "sipt"
+    assert base["status"] == sibling["status"] == "ok"
+    assert base["speedup"] == base["energy_ratio"] == 1.0
+    assert sibling["speedup"] == sibling["ipc"] / base["ipc"]
+    assert sibling["energy_ratio"] == sibling["energy_j"] / base["energy_j"]
+
+
+def test_sweep_renders_no_snapshot_and_builds_one_engine_per_cell(
+        tmp_path, monkeypatch):
+    """No normalization run: without ``checkpoint_every`` a storeless
+    ``--jobs 2`` sweep renders no state snapshot in any process, and a
+    serial kernel sweep builds one engine per grid cell. The access
+    count is unique to this test, so no memo from another test can
+    serve a cell."""
+    from repro.sim import checkpoint, kernel
+    log = tmp_path / "renders.log"
+    real_render = checkpoint.render_checkpoint
+
+    def render(*args, **kwargs):
+        with open(log, "a") as fh:  # pool workers are forked
+            fh.write("render\n")
+        return real_render(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("repro")
+                and getattr(module, "render_checkpoint", None)
+                is real_render):
+            monkeypatch.setattr(module, "render_checkpoint", render)
+    spec = small_spec(seeds=[0, 1])
+    rows = run_sweep(spec, n_accesses=1234, traces=TraceCache(),
+                     runner=ResilientRunner(jobs=2), engine="kernel")
+    assert [r["status"] for r in rows] == ["ok"] * 8
+    assert not log.exists()
+    built = []
+    real_make = kernel.make_engine
+
+    def make_engine(ctx, oracle):
+        built.append(ctx)
+        return real_make(ctx, oracle)
+
+    monkeypatch.setattr(kernel, "make_engine", make_engine)
+    assert run_sweep(spec, n_accesses=1234, traces=TraceCache(),
+                     engine="kernel") == rows
+    assert len(built) == len(rows)

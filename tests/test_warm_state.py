@@ -41,7 +41,8 @@ def rows_blob(rows):
 
 def reference_rows(spec, n_accesses):
     """The grid's rows computed directly: one ``run_app`` per cell and
-    per baseline with no warm state, and no runner."""
+    per baseline with no warm state, and no runner; the ratios come
+    from ``SimResult.speedup_over``/``energy_over``."""
     traces = TraceCache()
     blank = {name: "" for name in FIELDS}
     rows = []
@@ -50,11 +51,14 @@ def reference_rows(spec, n_accesses):
             return run_app(recipe.app, system, condition=recipe.condition,
                            n_accesses=n_accesses, seed=recipe.seed,
                            cache=traces, warm_state=None)
-        base = (run(system_for(system.core, spec.configs[spec.baseline]))
-                if spec.baseline is not None else None)
-        rows.append({**blank,
-                     **_result_row(key, run(system), base),
-                     "status": "ok", "error": ""})
+        result = run(system)
+        row = {**blank, **_result_row(key, result),
+               "status": "ok", "error": ""}
+        if spec.baseline is not None:
+            base = run(system_for(system.core, spec.configs[spec.baseline]))
+            row.update(speedup=result.speedup_over(base),
+                       energy_ratio=result.energy_over(base))
+        rows.append(row)
     return rows
 
 
