@@ -350,15 +350,14 @@ def cmd_jobs(args) -> int:
     """`repro jobs`: submit/track/run/collect store-backed sweep jobs.
 
     The daemon-free async front end over the content-addressed store
-    (``docs/sweep-service.md``): ``submit`` journals a grid and dedupes
-    it against the store, ``status`` recomputes progress live, ``run``
+    (``docs/sweep-service.md``): ``submit`` journals a grid and counts
+    its cells already stored, ``status`` recomputes progress live, ``run``
     executes the missing cells through :func:`run_sweep` with the
     store attached, and ``result`` composes the CSV purely from store
     entries — byte-identical to a cold ``sweep`` of the same grid.
     """
     from .sim.sweep import grid_cells, rows_from_store
-    from .store import (LeaseRenewer, job_status, list_jobs, load_job,
-                        release_claims, submit_job)
+    from .store import job_status, list_jobs, load_job, submit_job
     store = _store_from(args)
     if args.action == "submit":
         spec = _sweep_spec(args)
@@ -371,9 +370,7 @@ def cmd_jobs(args) -> int:
                                                         args.accesses)]
         summary = submit_job(store, grid, cells)
         print(f"job {summary['id']}: {summary['cells']} cells, "
-              f"{summary['done']} already in store, "
-              f"{summary['shared']} in flight elsewhere, "
-              f"{summary['claimed']} claimed")
+              f"{summary['done']} already in store")
         return 0
     if args.action == "status":
         records = ([load_job(store, args.id)] if args.id
@@ -383,40 +380,23 @@ def cmd_jobs(args) -> int:
             return 0
         for record in records:
             st = job_status(store, record)
-            line = (f"job {record['id']}: {st['done']}/{st['total']} "
-                    f"done, {st['inflight']} in flight elsewhere, "
-                    f"{st['pending']} pending")
-            if st["stuck"]:
-                line += (f", {st['stuck']} stuck claims (finished but "
-                         "unreleased — `repro store doctor --repair`)")
-            print(line)
+            print(f"job {record['id']}: {st['done']}/{st['total']} "
+                  f"done, {st['pending']} pending")
         return 0
     record = load_job(store, args.id)
     spec, accesses = _spec_from_grid(record["grid"])
     if args.action == "run":
         runner = _runner(args)
-        # The renewer stamps this process as the claims' owner up
-        # front (stealing any expired leases) and re-stamps them every
-        # TTL/3 while cells execute, so a SIGKILL here wedges
-        # overlapping jobs for at most one lease TTL.
-        with LeaseRenewer(store, record):
-            run_sweep(spec, n_accesses=accesses, traces=TraceCache(),
-                      runner=runner, engine=args.engine, store=store)
-        released, failed = release_claims(store, record)
-        if failed:
-            print(f"[jobs] {failed} finished claim marker(s) could not "
-                  "be released (root read-only?); they will read as "
-                  "stuck in `jobs status` until `store doctor --repair`",
-                  file=sys.stderr)
+        run_sweep(spec, n_accesses=accesses, traces=TraceCache(),
+                  runner=runner, engine=args.engine, store=store)
         _store_report(store, runner)
         return _finish(args, runner)
     # action == "result"
     rows, missing = rows_from_store(spec, accesses, store)
     if missing and not args.partial:
         print(f"job {record['id']}: {len(missing)} of {len(rows)} cells "
-              "not in the store yet — `repro jobs run` it, wait for "
-              "the job holding them, or stream what exists with "
-              "--partial", file=sys.stderr)
+              "not in the store yet — `repro jobs run` it, or stream "
+              "what exists with --partial", file=sys.stderr)
         return 1
     if missing:
         done_rows = [row for row in rows if row.get("status")]
@@ -424,7 +404,6 @@ def cmd_jobs(args) -> int:
         print(f"wrote {len(done_rows)} of {len(rows)} rows to {path} "
               f"(partial: {len(missing)} cells still pending)")
         return 0
-    release_claims(store, record)
     path = to_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
@@ -434,13 +413,13 @@ def cmd_store(args) -> int:
     """`repro store`: maintenance over the content-addressed store.
 
     ``doctor`` scans the root for damage a long shared life
-    accumulates — ``*.tmp`` litter, corrupt/truncated entries, expired
-    leases, dangling/stuck markers, unloadable job records — and
-    prints one line per finding. With ``--repair`` it also applies
-    each finding's fix (all removals; safe because the store is
-    idempotent and content-addressed). Exits 0 when the root ends the
-    command clean, 1 when findings remain (reported but unrepaired, or
-    a repair failed) so cron/CI can alert on a dirty root.
+    accumulates — ``*.tmp`` litter, corrupt/truncated entries,
+    unloadable job records — and prints one line per finding. With
+    ``--repair`` it also applies each finding's fix (all removals;
+    safe because the store is idempotent and content-addressed). Exits
+    0 when the root ends the command clean, 1 when findings remain
+    (reported but unrepaired, or a repair failed) so cron/CI can alert
+    on a dirty root.
     """
     from .store import diagnose, repair, summarize
     store = _store_from(args)
@@ -885,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid_flags(submit_p)
     store_flag(submit_p, default="")
     status_p = jobs_sub.add_parser(
-        "status", help="live done/in-flight/pending tallies per job")
+        "status", help="live done/pending tallies per job")
     status_p.add_argument("id", nargs="?", default=None,
                           help="job id (default: every job on the store)")
     store_flag(status_p, default="")
@@ -912,8 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = store_p.add_subparsers(dest="action", required=True)
     doctor_p = store_sub.add_parser(
         "doctor", help="scan the store root for tmp litter, corrupt "
-                       "entries, expired leases, and dangling job "
-                       "state; fix with --repair")
+                       "entries, and unloadable job records; fix with "
+                       "--repair")
     doctor_p.add_argument(
         "--repair", action="store_true",
         help="apply each finding's fix (removals only; safe because "

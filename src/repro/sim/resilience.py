@@ -382,8 +382,8 @@ class ResilientRunner:
         return self._run([(key, fn)], 1, degrade)[0]
 
     def run_cells(self, cells: Sequence[Tuple[Dict[str, Any],
-                                              Callable[[], Dict[str, Any]]]],
-                  jobs: Optional[int] = None) -> List[Dict[str, Any]]:
+                                              Callable[[], Dict[str, Any]]]]
+                  ) -> List[Dict[str, Any]]:
         """Execute a batch of ``(key, fn)`` cells; rows in input order.
 
         Cells recorded ``ok`` in the resume journal return their
@@ -401,11 +401,7 @@ class ResilientRunner:
         byte-identical in either mode. Cell callables must be picklable
         in parallel mode.
         """
-        jobs = self.jobs if jobs is None else jobs
-        if jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        self._check_fault_mode(self.faults, jobs)
-        return self._run(cells, jobs, True)
+        return self._run(cells, self.jobs, True)
 
     def _run(self, cells: Sequence[Tuple[Dict[str, Any],
                                          Callable[[], Dict[str, Any]]]],

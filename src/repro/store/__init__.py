@@ -11,14 +11,11 @@ Public surface of the sweep-as-a-service layer (operations manual:
   (default ``~/.cache/repro-store``), corrupt-entry-as-miss reads, and
   size-bounded LRU GC.
 * :mod:`repro.store.jobs` — the journal behind ``repro jobs
-  submit/status/run/result``: grids deduped against the store at
-  submission, in-flight cells shared between overlapping jobs through
-  lease-stamped pending markers (owner pid + host, TTL renewed by
-  :class:`~repro.store.jobs.LeaseRenewer` while a run executes, dead
-  owners expire and are stolen).
+  submit/status/run/result``: a grid journaled under the store root,
+  its progress counted live against the store. Overlapping jobs share
+  finished cells through the store itself.
 * :mod:`repro.store.doctor` — the ``repro store doctor`` scan/repair
-  pass for tmp litter, corrupt entries, expired leases, and dangling
-  job state.
+  pass for tmp litter, corrupt entries, and unloadable job records.
 
 Wired into :func:`repro.sim.sweep.run_sweep` via ``store=`` (CLI:
 ``sweep --store``): hits stream straight from the store, only misses
@@ -33,18 +30,12 @@ from .doctor import (
     summarize,
 )
 from .jobs import (
-    DEFAULT_LEASE_TTL_S,
     JOB_SCHEMA,
-    LeaseRenewer,
     job_id_for,
     job_status,
     jobs_dir,
-    lease_ttl,
     list_jobs,
     load_job,
-    pending_dir,
-    release_claims,
-    renew_leases,
     submit_job,
 )
 from .resultstore import (
@@ -61,11 +52,9 @@ from .resultstore import (
 __all__ = [
     "CATEGORIES",
     "DEFAULT_CAP_BYTES",
-    "DEFAULT_LEASE_TTL_S",
     "Finding",
     "JOB_SCHEMA",
     "LAYOUT",
-    "LeaseRenewer",
     "SCHEMA",
     "ResultStore",
     "TMP_MAX_AGE_S",
@@ -75,12 +64,8 @@ __all__ = [
     "job_id_for",
     "job_status",
     "jobs_dir",
-    "lease_ttl",
     "list_jobs",
     "load_job",
-    "pending_dir",
-    "release_claims",
-    "renew_leases",
     "repair",
     "submit_job",
     "summarize",

@@ -3,20 +3,18 @@
 A long-lived store root on a shared filesystem accumulates damage that
 no single sweep is positioned to clean up: ``*.tmp`` litter from
 writers SIGKILLed between ``mkstemp`` and ``os.replace``, entries
-truncated or corrupted by torn NFS client writes, pending markers
-whose owner died (lease expired) or whose job record is gone, markers
-that outlived their finished cell because a ``release_claims`` unlink
-failed, and job records that no longer parse. Each of these degrades
-gracefully at read time (damage is a miss), but the litter costs disk,
-masks store slots, and makes ``jobs status`` lie about in-flight work.
+truncated or corrupted by torn NFS client writes, and job records that
+no longer parse. Each of these degrades gracefully at read time
+(damage is a miss), but the litter costs disk, masks store slots, and
+hides a job from ``jobs status``.
 
 ``repro store doctor`` is the offline janitor: :func:`diagnose` scans
 the whole root and returns typed :class:`Finding` records;
 :func:`repair` applies each finding's fix. The CLI reports findings by
 default and fixes them only under ``--repair``. Every fix is safe
 against re-running sweeps because store writes are idempotent and
-content-addressed: removing a damaged entry or stale marker costs at
-most one redundant simulation, never correctness.
+content-addressed: removing a damaged entry costs at most one
+redundant simulation, never correctness.
 
 The doctor assumes no *writer* is mid-flight on the root while it
 repairs (it removes ``*.tmp`` files regardless of age — unlike the
@@ -33,14 +31,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 from ..errors import CheckpointError, ConfigError
-from .jobs import (_marker_owner, _marker_payload, jobs_dir, load_job,
-                   pending_dir)
+from .jobs import jobs_dir, load_job
 from .resultstore import ResultStore, is_cell_result
 
 #: Finding categories, in report order.
 CATEGORIES = ("orphan-tmp", "corrupt-result", "corrupt-state",
-              "corrupt-meta", "corrupt-marker", "dangling-marker",
-              "expired-lease", "stuck-marker", "corrupt-job")
+              "corrupt-meta", "corrupt-job")
 
 
 @dataclass
@@ -101,45 +97,6 @@ def _entry_findings(store: ResultStore) -> List[Finding]:
     return findings
 
 
-def _marker_findings(store: ResultStore) -> List[Finding]:
-    """Scan pending markers for corruption, danglers, expired leases."""
-    findings: List[Finding] = []
-    root = pending_dir(store)
-    if not root.is_dir():
-        return findings
-    for path in sorted(root.glob("*.json")):
-        digest = path.stem
-        payload = _marker_payload(store, digest)
-        if payload is None or not payload.get("job"):
-            findings.append(Finding(
-                "corrupt-marker", path,
-                f"pending marker {digest[:12]} is unreadable or "
-                "missing its owning job id"))
-            continue
-        if store.contains(digest):
-            findings.append(Finding(
-                "stuck-marker", path,
-                f"cell {digest[:12]} is finished in the store but "
-                "its claim was never released"))
-            continue
-        owner = str(payload["job"])
-        if not (jobs_dir(store) / f"{owner}.json").exists():
-            findings.append(Finding(
-                "dangling-marker", path,
-                f"pending marker {digest[:12]} names job {owner} "
-                "whose record no longer exists"))
-            continue
-        if _marker_owner(store, digest) is None:
-            stamp = payload.get("owner") or {}
-            who = (f"pid {stamp.get('pid')} on {stamp.get('host')}"
-                   if stamp else "an unknown owner")
-            findings.append(Finding(
-                "expired-lease", path,
-                f"claim on cell {digest[:12]} by job {owner} "
-                f"({who}) has an expired or missing lease"))
-    return findings
-
-
 def _job_findings(store: ResultStore) -> List[Finding]:
     """Scan job records for ones that no longer load."""
     findings: List[Finding] = []
@@ -160,15 +117,14 @@ def diagnose(store: ResultStore) -> List[Finding]:
     """Full store-root scan; returns findings in report order.
 
     Covers ``*.tmp`` litter anywhere under the root, every v1 entry
-    file, every pending marker, and every job record. Read-only — the
-    scan never modifies the store.
+    file, and every job record. Read-only — the scan never modifies
+    the store.
     """
     findings: List[Finding] = [
         Finding("orphan-tmp", path,
                 "temp file orphaned by a killed writer")
         for path in store.iter_tmp_litter()]
     findings.extend(_entry_findings(store))
-    findings.extend(_marker_findings(store))
     findings.extend(_job_findings(store))
     order = {category: rank for rank, category in enumerate(CATEGORIES)}
     findings.sort(key=lambda f: (order[f.category], str(f.path)))
@@ -179,8 +135,8 @@ def repair(store: ResultStore,
            findings: List[Finding]) -> Tuple[int, int]:
     """Apply every finding's fix; returns ``(fixed, failed)``.
 
-    All current fixes are removals (litter, damaged entry files, stale
-    markers, unloadable job records) — safe because the store is
+    All current fixes are removals (litter, damaged entry files,
+    unloadable job records) — safe because the store is
     content-addressed and idempotent, so anything a fix removes is
     reconstructed by the next sweep or submit that needs it. A finding
     counts as fixed only when every file it names is gone afterwards.

@@ -55,8 +55,7 @@ On-disk layout (versioned)
     ├── v1/<aa>/<digest>.result.pkl   # pickled SimResult (list: mix)
     ├── v1/<aa>/<digest>.state.json   # optional repro-ckpt-2 snapshot
     ├── v1/<aa>/<digest>.meta.json    # human-readable provenance
-    ├── jobs/<job-id>.json            # repro.store.jobs
-    └── pending/<digest>.json         # in-flight claims (advisory)
+    └── jobs/<job-id>.json            # repro.store.jobs
 
 ``<aa>`` is the first two digest hex chars (fan-out keeps directory
 listings sane at millions of entries). The ``v1/`` component is the

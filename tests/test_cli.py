@@ -399,34 +399,30 @@ def test_jobs_result_partial_streams_completed_cells(tmp_path, capsys):
     assert "gamess" in text and "tonto" not in text
 
 
-def test_jobs_status_reports_stuck_claims(tmp_path, capsys):
+def test_jobs_overlapping_grids_finish_together_and_leave_a_clean_root(
+        tmp_path, capsys):
+    """Submit a grid and a wider one over it, run only the wider one:
+    both jobs read fully done and the root is clean."""
     store = str(tmp_path / "store")
+    wide = ["--apps", "gamess,tonto", "--geometries",
+            "baseline,32K_2w", "--baseline", "baseline",
+            "--accesses", "1000"]
     assert main(["jobs", "submit", *SWEEP_GRID, "--store", store]) == 0
-    job_id = capsys.readouterr().out.split()[1].rstrip(":")
-    # A plain sweep fills the store but never releases the job's
-    # claims — exactly what a crash between store and release leaves.
-    assert main(["sweep", *SWEEP_GRID, "--out",
-                 str(tmp_path / "s.csv"), "--store", store]) == 0
-    capsys.readouterr()
-    assert main(["jobs", "status", job_id, "--store", store]) == 0
+    narrow_id = capsys.readouterr().out.split()[1].rstrip(":")
+    assert main(["jobs", "submit", *wide, "--store", store]) == 0
     out = capsys.readouterr().out
-    assert "2 stuck claims" in out and "doctor" in out
-    # doctor --repair clears them; status goes quiet.
-    assert main(["store", "doctor", "--repair", "--store", store]) == 0
-    capsys.readouterr()
-    assert main(["jobs", "status", job_id, "--store", store]) == 0
-    assert "stuck" not in capsys.readouterr().out
-
-
-def test_jobs_run_releases_claims_and_renews_leases(tmp_path, capsys):
-    from repro.store import ResultStore
-    from repro.store.jobs import pending_dir
-    store = str(tmp_path / "store")
-    assert main(["jobs", "submit", *SWEEP_GRID, "--store", store]) == 0
-    job_id = capsys.readouterr().out.split()[1].rstrip(":")
-    assert main(["jobs", "run", job_id, "--store", store]) == 0
-    # All claims released: no markers linger after a clean run.
-    assert list(pending_dir(ResultStore(store)).glob("*.json")) == []
+    wide_id = out.split()[1].rstrip(":")
+    assert out == f"job {wide_id}: 4 cells, 0 already in store\n"
+    assert not (tmp_path / "store" / "pending").exists()
+    assert main(["jobs", "run", wide_id, "--store", store]) == 0
+    assert "4 simulated" in capsys.readouterr().err
+    assert main(["jobs", "status", "--store", store]) == 0
+    lines = sorted(capsys.readouterr().out.splitlines())
+    assert lines == sorted([f"job {narrow_id}: 2/2 done, 0 pending",
+                            f"job {wide_id}: 4/4 done, 0 pending"])
+    assert main(["store", "doctor", "--store", store]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(": clean")
+    assert not (tmp_path / "store" / "pending").exists()
 
 
 # ---------------------------------------------------------------------

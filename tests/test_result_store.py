@@ -11,8 +11,9 @@ The load-bearing properties:
 * anything corrupt, truncated, or version-skewed is a miss, never an
   error;
 * GC evicts in true LRU order (hits refresh recency);
-* the jobs front end shares in-flight cells between overlapping grids
-  and composes a CSV byte-identical to a cold sweep;
+* the jobs front end counts progress against the store, so overlapping
+  grids share finished cells, and composes a CSV byte-identical to a
+  cold sweep;
 * a warm pass derives each cell identity once and reads each digest
   once.
 """
@@ -32,8 +33,8 @@ from repro.sim.faults import FaultInjector
 from repro.sim.resilience import ResilientRunner
 from repro.sim.sweep import (SweepSpec, grid_cells, rows_from_store,
                              run_sweep)
-from repro.store import (ResultStore, cell_identity, job_id_for, job_status,
-                         list_jobs, load_job, release_claims, submit_job,
+from repro.store import (ResultStore, cell_identity, diagnose, job_id_for,
+                         job_status, list_jobs, load_job, submit_job,
                          system_payload)
 from repro.store import resultstore
 from repro.workloads import MemoryCondition, generate_trace
@@ -361,29 +362,32 @@ def test_job_lifecycle_and_overlap_sharing(tmp_path):
     spec = spec_small()
     grid, cells = grid_and_cells(spec, 600, store)
     summary = submit_job(store, grid, cells)
-    assert summary["claimed"] == len(cells) and summary["done"] == 0
-    assert job_id_for(grid) == summary["id"]
+    assert summary == {"id": job_id_for(grid), "cells": len(cells),
+                       "done": 0}
     # Resubmitting the identical grid is the same job, not a duplicate.
     again = submit_job(store, grid, cells)
     assert again["id"] == summary["id"]
     assert len(list_jobs(store)) == 1
-    # An overlapping grid sees the first job's claims as in-flight.
+    # An overlapping, wider grid: every cell is pending for both jobs.
     wide = SweepSpec(apps=["gamess", "tonto"],
                      configs=dict(spec.configs), seeds=[0],
                      baseline="base")
     grid2, cells2 = grid_and_cells(wide, 600, store)
     summary2 = submit_job(store, grid2, cells2)
-    assert summary2["shared"] == len(cells)
-    assert summary2["claimed"] == len(cells2) - len(cells)
+    assert summary2["done"] == 0
     st = job_status(store, load_job(store, summary2["id"]))
-    assert st["inflight"] == len(cells) and st["done"] == 0
-    # Running the first job completes the shared cells for both.
-    run_sweep(spec, n_accesses=600, traces=TraceCache(), store=store)
-    record = load_job(store, summary["id"])
-    assert job_status(store, record)["done"] == len(cells)
-    assert release_claims(store, record) == (len(cells), 0)
-    st2 = job_status(store, load_job(store, summary2["id"]))
-    assert st2["done"] == len(cells) and st2["inflight"] == 0
+    assert st == {"total": len(cells2), "done": 0, "pending": len(cells2)}
+    # Submission journals the grids and writes no per-cell state.
+    assert not (tmp_path / "pending").exists()
+    # Running only the wider grid completes both jobs through the store,
+    # and leaves nothing for the doctor to find.
+    run_sweep(wide, n_accesses=600, traces=TraceCache(), store=store)
+    for job in (summary, summary2):
+        total = job["cells"]
+        assert job_status(store, load_job(store, job["id"])) == {
+            "total": total, "done": total, "pending": 0}
+    assert submit_job(store, grid, cells)["done"] == len(cells)
+    assert diagnose(store) == []
 
 
 def test_rows_from_store_matches_cold_run(tmp_path):
@@ -469,159 +473,6 @@ def test_store_served_grid_takes_one_identity_and_one_read_per_cell(
 def test_unknown_job_is_a_typed_error(tmp_path):
     with pytest.raises(ConfigError):
         load_job(ResultStore(tmp_path), "deadbeef0000")
-
-
-def test_stale_marker_reads_as_unclaimed(tmp_path):
-    store = ResultStore(tmp_path)
-    spec = spec_small()
-    grid, cells = grid_and_cells(spec, 600, store)
-    summary = submit_job(store, grid, cells)
-    # Delete the job record: its markers must stop counting as claims.
-    from repro.store import jobs_dir
-    (jobs_dir(store) / f"{summary['id']}.json").unlink()
-    grid2, cells2 = grid_and_cells(spec, 600, store)
-    resubmit = submit_job(store, grid2, cells2)
-    assert resubmit["shared"] == 0
-    assert resubmit["claimed"] == len(cells)
-
-
-# ---------------------------------------------------------------------
-# Leases (PR 9): dead owners expire, overlapping submissions steal
-# ---------------------------------------------------------------------
-
-def test_marker_carries_owner_and_lease(tmp_path):
-    import os
-    import socket
-    from repro.store.jobs import _marker_path, _now
-    store = ResultStore(tmp_path)
-    grid, cells = grid_and_cells(spec_small(), 600, store)
-    submit_job(store, grid, cells)
-    payload = json.loads(_marker_path(store, cells[0][1]).read_text())
-    assert payload["owner"] == {"pid": os.getpid(),
-                                "host": socket.gethostname()}
-    assert payload["expires"] > _now()
-
-
-def test_dead_owner_lease_expires_and_is_stolen(tmp_path, monkeypatch):
-    """The acceptance scenario: a SIGKILLed `jobs run` owner holds
-    claims on the whole grid. Once the lease TTL lapses (simulated by
-    advancing the module clock — the owner is dead, so nothing renews),
-    an overlapping submission steals every claim and the grid runs to
-    completion."""
-    import time as _time
-    from repro.store import jobs as jobs_mod
-    store = ResultStore(tmp_path)
-    spec = spec_small()
-    grid, cells = grid_and_cells(spec, 600, store)
-    dead = submit_job(store, grid, cells, ttl=60.0)
-    assert dead["claimed"] == len(cells)
-    # While the lease is live, a second submission only shares.
-    wide = SweepSpec(apps=["gamess", "tonto"],
-                     configs=dict(spec.configs), seeds=[0],
-                     baseline="base")
-    grid2, cells2 = grid_and_cells(wide, 600, store)
-    early = submit_job(store, grid2, cells2)
-    assert early["shared"] == len(cells)
-    # The owner dies (no renewals); the clock passes the TTL.
-    monkeypatch.setattr(jobs_mod, "_now",
-                        lambda base=_time.time(): base + 120.0)
-    stolen = submit_job(store, grid2, cells2)
-    assert stolen["shared"] == 0
-    assert stolen["claimed"] == len(cells2)
-    # The thief completes the grid: every cell lands in the store.
-    run_sweep(wide, n_accesses=600, traces=TraceCache(), store=store)
-    record = load_job(store, stolen["id"])
-    st = job_status(store, record)
-    assert st["done"] == len(cells2) and st["pending"] == 0
-    assert release_claims(store, record) == (len(cells2), 0)
-
-
-def test_renew_leases_extends_live_claims_only(tmp_path):
-    from repro.store import renew_leases
-    from repro.store.jobs import _marker_path
-    store = ResultStore(tmp_path)
-    spec = spec_small()
-    grid, cells = grid_and_cells(spec, 600, store)
-    record = load_job(store, submit_job(store, grid, cells)["id"])
-    before = {d: json.loads(_marker_path(store, d).read_text())["expires"]
-              for _, d in cells}
-    # Finish one cell: its marker must not be re-stamped.
-    finished = cells[0][1]
-    store.store_result(finished, simulate_one(generate_trace(
-        "gamess", 100, seed=0)))
-    renewed = renew_leases(store, record, ttl=3600.0)
-    assert renewed == len(cells) - 1
-    after = {d: json.loads(_marker_path(store, d).read_text())["expires"]
-             for _, d in cells}
-    assert after[finished] == before[finished]
-    for _, d in cells[1:]:
-        assert after[d] > before[d]
-
-
-def test_lease_renewer_background_thread(tmp_path):
-    import time as _time
-    from repro.store import LeaseRenewer
-    store = ResultStore(tmp_path)
-    grid, cells = grid_and_cells(spec_small(), 600, store)
-    record = load_job(store, submit_job(store, grid, cells)["id"])
-    with LeaseRenewer(store, record, ttl=0.09) as renewer:
-        deadline = _time.time() + 5.0
-        while renewer.renewals < 2 and _time.time() < deadline:
-            _time.sleep(0.02)
-    assert renewer.renewals >= 2
-
-
-def test_lease_ttl_env_override(monkeypatch):
-    from repro.store import lease_ttl
-    monkeypatch.setenv("REPRO_LEASE_TTL", "42.5")
-    assert lease_ttl() == 42.5
-    monkeypatch.setenv("REPRO_LEASE_TTL", "nope")
-    with pytest.raises(ConfigError):
-        lease_ttl()
-    monkeypatch.setenv("REPRO_LEASE_TTL", "-3")
-    with pytest.raises(ConfigError):
-        lease_ttl()
-
-
-def test_job_status_counts_stuck_claims(tmp_path):
-    store = ResultStore(tmp_path)
-    spec = spec_small()
-    grid, cells = grid_and_cells(spec, 600, store)
-    record = load_job(store, submit_job(store, grid, cells)["id"])
-    # The sweep finishes the cells but (say) the runner was killed
-    # before release_claims: markers now shadow finished work.
-    run_sweep(spec, n_accesses=600, traces=TraceCache(), store=store)
-    st = job_status(store, record)
-    assert st["done"] == len(cells)
-    assert st["stuck"] == len(cells)
-    release_claims(store, record)
-    assert job_status(store, record)["stuck"] == 0
-
-
-def test_release_claims_counts_unlink_failures(tmp_path, monkeypatch):
-    import errno
-    from pathlib import Path
-    from repro.store.jobs import _marker_path
-    store = ResultStore(tmp_path)
-    spec = spec_small()
-    grid, cells = grid_and_cells(spec, 600, store)
-    record = load_job(store, submit_job(store, grid, cells)["id"])
-    run_sweep(spec, n_accesses=600, traces=TraceCache(), store=store)
-    # One marker refuses to unlink — the shared root went read-only
-    # mid-release. The loss must be counted, not swallowed.
-    jammed = _marker_path(store, cells[0][1])
-    real_unlink = Path.unlink
-
-    def flaky_unlink(self, *args, **kwargs):
-        if self == jammed:
-            raise OSError(errno.EROFS, "read-only filesystem")
-        return real_unlink(self, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "unlink", flaky_unlink)
-    released, failed = release_claims(store, record)
-    assert released == len(cells) - 1
-    assert failed == 1
-    assert job_status(store, record)["stuck"] == 1
 
 
 # ---------------------------------------------------------------------

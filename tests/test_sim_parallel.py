@@ -76,17 +76,12 @@ def _must_not_run():
 def test_jobs_must_be_positive():
     with pytest.raises(ConfigError):
         ResilientRunner(jobs=0)
-    with pytest.raises(ConfigError):
-        ResilientRunner().run_cells([], jobs=0)
 
 
 def test_faults_require_serial_execution():
     faults = FaultInjector(["transient@0"])
     with pytest.raises(ConfigError):
         ResilientRunner(faults=faults, jobs=2)
-    runner = ResilientRunner(faults=faults)
-    with pytest.raises(ConfigError):
-        runner.run_cells([({"app": "a"}, _ok_cell)], jobs=2)
 
 
 # ---------------------------------------------------------------------

@@ -14,13 +14,12 @@ from repro.cli import main
 from repro.errors import ConfigError
 from repro.sim import BASELINE_L1, ooo_system, simulate
 from repro.sim.checkpoint import render_checkpoint
-from repro.store import (Finding, ResultStore, diagnose, repair,
+from repro.store import (Finding, ResultStore, diagnose, list_jobs, repair,
                          submit_job, summarize)
-from repro.store.jobs import _marker_path, jobs_dir, pending_dir
+from repro.store.jobs import jobs_dir
 from repro.workloads import generate_trace
 
 DIGEST_A = "aa" + "0" * 62
-DIGEST_B = "bb" + "1" * 62
 
 
 @pytest.fixture
@@ -41,14 +40,12 @@ def entry_for(store, seed=7):
     return digest
 
 
-def claim(store, digest, job="job0", ttl=600.0):
-    """Stamp a pending marker plus a loadable job record for it.
-
-    ``job`` only disambiguates the grid (the real id is its hash);
-    returns the computed job id.
-    """
-    return submit_job(store, {"job": job}, [({"cell": 0}, digest)],
-                      ttl=ttl)["id"]
+def mangle_job(store):
+    """Plant a job record that no longer parses; returns its path."""
+    jobs_dir(store).mkdir(parents=True, exist_ok=True)
+    bad = jobs_dir(store) / "mangled.json"
+    bad.write_text("{]")
+    return bad
 
 
 def test_clean_store_has_no_findings(store):
@@ -105,50 +102,26 @@ def test_corrupt_state_and_meta_are_scoped_removals(store):
     assert diagnose(store) == []
 
 
-def test_marker_triage_order(store):
-    """corrupt > stuck > dangling > expired, each diagnosed once."""
-    done = entry_for(store)
-    claim(store, DIGEST_A, job="live")          # healthy claim
-    claim(store, done, job="live")              # will become stuck:
-    _marker_path(store, done).write_text(
-        _marker_path(store, DIGEST_A).read_text().replace(
-            DIGEST_A, done))
-    gone_id = claim(store, DIGEST_B, job="gone")  # dangling after:
-    (jobs_dir(store) / f"{gone_id}.json").unlink()
-    expired = "cc" + "2" * 62
-    claim(store, expired, job="old", ttl=-1.0)  # lease already lapsed
-    corrupt = _marker_path(store, "dd" + "3" * 62)
-    corrupt.write_text("not json")
-    by_cat = {f.category: f for f in diagnose(store)}
-    assert set(by_cat) == {"corrupt-marker", "stuck-marker",
-                           "dangling-marker", "expired-lease"}
-    assert "pid" in by_cat["expired-lease"].detail
-    fixed, failed = repair(store, diagnose(store))
-    assert (fixed, failed) == (4, 0)
-    # The healthy live claim survives repair.
-    assert _marker_path(store, DIGEST_A).exists()
-    assert diagnose(store) == []
-
-
 def test_corrupt_job_record_diagnosed(store):
-    claim(store, DIGEST_A, job="ok")
-    bad = jobs_dir(store) / "mangled.json"
-    bad.write_text("{]")
+    good = submit_job(store, {"job": "ok"}, [({"cell": 0}, DIGEST_A)])
+    bad = mangle_job(store)
     cats = [f.category for f in diagnose(store)]
-    # The marker for DIGEST_A still resolves to job "ok", so only the
-    # mangled record is reported.
+    # The loadable record is healthy; only the mangled one is reported.
     assert cats == ["corrupt-job"]
     repair(store, diagnose(store))
     assert not bad.exists()
+    # `jobs status` lists the loadable record and skips the mangled one.
+    assert [r["id"] for r in list_jobs(store)] == [good["id"]]
+    assert (jobs_dir(store) / f"{good['id']}.json").exists()
 
 
 def test_summarize_tallies_by_category(store):
     entry_for(store)
     (store.root / "a.tmp").write_bytes(b"")
     (store.root / "b.tmp").write_bytes(b"")
-    claim(store, DIGEST_A, job="old", ttl=-1.0)
+    mangle_job(store)
     assert summarize(diagnose(store)) == {"orphan-tmp": 2,
-                                          "expired-lease": 1}
+                                          "corrupt-job": 1}
 
 
 def test_repair_counts_already_gone_as_fixed(store):
@@ -164,7 +137,7 @@ def littered_root(tmp_path):
     store = ResultStore(tmp_path / "store")
     entry_for(store)
     (store.root / "orphan.tmp").write_bytes(b"partial")
-    claim(store, DIGEST_A, job="dead", ttl=-1.0)
+    mangle_job(store)
     return store
 
 
@@ -173,7 +146,7 @@ def test_doctor_cli_reports_then_repairs(tmp_path, capsys):
     flag = ["--store", str(store.root)]
     assert main(["store", "doctor", *flag]) == 1
     out = capsys.readouterr().out
-    assert "[orphan-tmp]" in out and "[expired-lease]" in out
+    assert "[orphan-tmp]" in out and "[corrupt-job]" in out
     assert "--repair" in out
     assert main(["store", "doctor", "--repair", *flag]) == 0
     assert "repaired" in capsys.readouterr().out
