@@ -373,15 +373,22 @@ def cmd_jobs(args) -> int:
               f"{summary['done']} already in store")
         return 0
     if args.action == "status":
-        records = ([load_job(store, args.id)] if args.id
-                   else list_jobs(store))
-        if not records:
+        records, unreadable = (([load_job(store, args.id)], []) if args.id
+                               else list_jobs(store))
+        if not records and not unreadable:
             print("no jobs submitted to this store")
             return 0
         for record in records:
             st = job_status(store, record)
             print(f"job {record['id']}: {st['done']}/{st['total']} "
                   f"done, {st['pending']} pending")
+        for _path, reason in unreadable:
+            print(reason, file=sys.stderr)
+        if unreadable:
+            print(f"{len(unreadable)} job record(s) unreadable; "
+                  "`repro store doctor` reports them and --repair "
+                  "removes them", file=sys.stderr)
+            return 1
         return 0
     record = load_job(store, args.id)
     spec, accesses = _spec_from_grid(record["grid"])

@@ -46,7 +46,7 @@ from .sim.executors import STATUS_OK
 from .sim.experiment import TraceCache
 from .sim.resilience import ResilientRunner
 from .sim.results import SimResult, arithmetic_mean, harmonic_mean
-from .sim.sweep import SweepSpec, grid_cells, run_sweep
+from .sim.sweep import SweepSpec, run_sweep
 from .store.resultstore import ResultStore
 from .workloads.mixes import MIXES
 from .workloads.spec import EVALUATED_APPS
@@ -542,8 +542,7 @@ def compute(figure: Figure, n_accesses: Optional[int] = None,
         for spec in figure.specs:
             rows = run_sweep(spec, n_accesses, traces, runner,
                              engine=engine, store=store)
-            for (key, recipe, system), row in zip(
-                    grid_cells(spec, n_accesses), rows):
+            for (key, recipe, system), row in zip(rows.grid, rows):
                 result = (store.fetch_result(key["cell"])
                           if row["status"] == STATUS_OK else None)
                 if result is None:

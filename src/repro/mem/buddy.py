@@ -20,15 +20,25 @@ emerge rather than be scripted:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 #: Linux's MAX_ORDER is 11: blocks of 2**0 .. 2**10 pages.
 MAX_ORDER = 10
 
 #: Order of a 2 MiB huge-page allocation with 4 KiB base pages.
 HUGE_PAGE_ORDER = 9
+
+
+def _run_frames(bases: Sequence[int], orders: Sequence[int]) -> np.ndarray:
+    """Every frame of the runs ``bases[i] .. bases[i] + 2**orders[i]``,
+    run by run, as one int64 array."""
+    lengths = np.left_shift(1, np.asarray(orders, dtype=np.int64))
+    firsts = np.cumsum(lengths) - lengths
+    return (np.repeat(np.asarray(bases, dtype=np.int64) - firsts, lengths)
+            + np.arange(int(lengths.sum()), dtype=np.int64))
 
 
 class OutOfMemoryError(Exception):
@@ -67,8 +77,12 @@ class BuddyAllocator:
         self._heaps: List[List[int]] = [[] for _ in range(MAX_ORDER + 1)]
         self._live_counts: List[int] = [0] * (MAX_ORDER + 1)
         self._free_frame_total = 0
-        # frame -> order for the *allocated* block based at that frame.
-        self._allocated: Dict[int, int] = {}
+        # The allocation map: one byte per frame, holding order + 1 at
+        # the base frame of every allocated block and 0 everywhere else
+        # (free frames and the non-base frames of a live block). A
+        # fragmented memory holds ~90k live blocks; as a dict that was
+        # several MB, as bytes it is ``total_frames`` bytes.
+        self._allocated = bytearray(total_frames)
         self._free_blocks: Dict[int, int] = {}
         self._seed_free_lists()
 
@@ -138,7 +152,7 @@ class BuddyAllocator:
             buddy = base + (1 << source)
             self._insert_free(buddy, source)
             self.stats.splits += 1
-        self._allocated[base] = order
+        self._allocated[base] = order + 1
         self.stats.allocations += 1
         return base
 
@@ -182,12 +196,13 @@ class BuddyAllocator:
 
     def free(self, base: int, order: Optional[int] = None) -> None:
         """Free a previously allocated block, coalescing with buddies."""
-        actual = self._allocated.pop(base, None)
-        if actual is None:
+        if not 0 <= base < self.total_frames or not self._allocated[base]:
             raise ValueError(f"frame {base} is not the base of a live block")
+        actual = self._allocated[base] - 1
         if order is not None and order != actual:
             raise ValueError(
                 f"block at {base} has order {actual}, not {order}")
+        self._allocated[base] = 0
         self.stats.frees += 1
         self._coalesce_and_insert(base, actual)
 
@@ -201,23 +216,25 @@ class BuddyAllocator:
         order-``order`` block and coalesces on from there. Every frame
         of every run is validated before anything changes.
         """
-        frames: List[int] = []
         for base, order in zip(bases, orders):
             if not 0 <= order <= MAX_ORDER or base % (1 << order):
                 raise ValueError(
                     f"run at {base} is not an aligned order-{order} run")
-            frames.extend(range(base, base + (1 << order)))
-        allocated = self._allocated
-        popped = list(map(allocated.pop, frames, repeat(None)))
-        if popped.count(0) != len(popped):
-            # A frame that is free, part of a larger block, or in two
-            # runs: put back what was taken, then refuse.
-            bad = next(frame for frame, order in zip(frames, popped)
-                       if order != 0)
-            for frame, order in zip(frames, popped):
-                if order is not None:
-                    allocated[frame] = order
-            raise ValueError(f"frame {bad} is not a live order-0 block")
+        frames = _run_frames(bases, orders)
+        inside = (frames >= 0) & (frames < self.total_frames)
+        held = np.zeros(len(frames), dtype=np.uint8)
+        held[inside] = self._map()[frames[inside]]
+        # A frame that is free, part of a larger block, or in two runs
+        # (its second appearance) is refused.
+        bad = held != 1
+        _, first = np.unique(frames, return_index=True)
+        repeated = np.ones(len(frames), dtype=bool)
+        repeated[first] = False
+        bad |= repeated
+        if bad.any():
+            frame = int(frames[int(np.argmax(bad))])
+            raise ValueError(f"frame {frame} is not a live order-0 block")
+        self._map()[frames] = 0
         self.stats.frees += len(frames)
         self.stats.coalesces += len(frames) - len(bases)
         for base, order in zip(bases, orders):
@@ -240,6 +257,7 @@ class BuddyAllocator:
         frames: List[int] = []
         live = self._live_counts
         stats = self.stats
+        allocated = self._allocated
         need = count
         while need > 0:
             order = 0
@@ -252,6 +270,7 @@ class BuddyAllocator:
             end = base + (1 << order)
             taken = min(end - base, need)
             frames.extend(range(base, base + taken))
+            allocated[base:base + taken] = b"\x01" * taken
             need -= taken
             pieces = taken
             rest = base + taken
@@ -263,24 +282,23 @@ class BuddyAllocator:
                 rest += 1 << piece
                 pieces += 1
             stats.splits += pieces - 1
-        self._allocated.update(dict.fromkeys(frames, 0))
         stats.allocations += len(frames)
         return frames
 
-    def allocate_all_order0(self) -> List[int]:
+    def allocate_all_order0(self) -> np.ndarray:
         """Allocate every free frame as its own order-0 block.
 
         Same end state and counters as calling ``try_allocate(0)`` until
         it returns ``None`` — a block of order ``k`` costs ``2**k - 1``
         splits, and the final failing call counts one failed allocation —
         in one pass over the free blocks. Returns the frames in ascending
-        order.
+        order, as an int64 array.
         """
-        frames: List[int] = []
-        for base, order in sorted(self._free_blocks.items()):
-            frames.extend(range(base, base + (1 << order)))
-            self.stats.splits += (1 << order) - 1
-        self._allocated.update(dict.fromkeys(frames, 0))
+        blocks = sorted(self._free_blocks.items())
+        frames = _run_frames([base for base, _ in blocks],
+                             [order for _, order in blocks])
+        self._map()[frames] = 1
+        self.stats.splits += len(frames) - len(blocks)
         self.stats.allocations += len(frames)
         self.stats.failed_allocations += 1
         self._free_blocks.clear()
@@ -341,7 +359,19 @@ class BuddyAllocator:
 
     def is_allocated(self, base: int) -> bool:
         """True if ``base`` is the base frame of a live allocation."""
-        return base in self._allocated
+        return 0 <= base < self.total_frames and bool(self._allocated[base])
+
+    def allocated_blocks(self) -> Dict[int, int]:
+        """Every live block as ``{base frame: order}``, by base."""
+        allocated = self._map()
+        bases = np.flatnonzero(allocated)
+        return dict(zip(bases.tolist(),
+                        (allocated[bases] - 1).tolist()))
+
+    def _map(self) -> np.ndarray:
+        """The allocation map as a writable uint8 view (made per use,
+        so a copied or pickled allocator never shares one)."""
+        return np.frombuffer(self._allocated, dtype=np.uint8)
 
     def check_invariants(self) -> None:
         """Validate internal consistency; used by property-based tests."""
@@ -359,7 +389,7 @@ class BuddyAllocator:
             by_order[order] += 1
         if by_order != self._live_counts:
             raise AssertionError("live counts out of sync with free set")
-        for base, order in self._allocated.items():
+        for base, order in self.allocated_blocks().items():
             span = set(range(base, base + (1 << order)))
             if covered & span:
                 raise AssertionError("allocated block overlaps free block")

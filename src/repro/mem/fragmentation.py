@@ -61,7 +61,7 @@ _RUN_WEIGHTS = np.array([0.05, 0.10, 0.15, 0.25, 0.45])
 _WINDOW = 32
 
 
-def _free_short_runs(buddy: BuddyAllocator, grabbed: list,
+def _free_short_runs(buddy: BuddyAllocator, grabbed: np.ndarray,
                      free_fraction: float,
                      rng: np.random.Generator) -> None:
     """Free scattered short runs so only small blocks ever coalesce.
@@ -84,7 +84,7 @@ def _free_short_runs(buddy: BuddyAllocator, grabbed: list,
     lengths = rng.choice(_RUN_LENGTHS, size=n_windows,
                          p=_RUN_WEIGHTS / _RUN_WEIGHTS.sum())
     held = np.zeros(buddy.total_frames + 1, dtype=np.int64)
-    held[np.asarray(grabbed, dtype=np.int64) + 1] = 1
+    held[grabbed + 1] = 1
     held = np.cumsum(held)                 # held[f]: grabbed frames < f
     bases = windows * _WINDOW
     whole = held[bases + lengths] - held[bases] == lengths

@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional, Tuple
 from ..envutil import env_int
 from ..errors import ConfigError, ReproError
 from ..workloads.mixes import get_mix
+from ..workloads.storage import freeze_trace
 from ..workloads.trace import (MemoryCondition, Trace, TraceRecipe,
                                generate_trace)
 from .config import SystemConfig
@@ -64,11 +65,13 @@ def mix_recipe(name: str, n_accesses: Optional[int] = None,
         for core, app in enumerate(get_mix(name))))
 
 
-#: Default :class:`TraceCache` capacity. A trace plus its page table
-#: and derived columns is a few MB at suite lengths; 64 covers the
-#: full 26-app suite across two conditions with headroom, while a long
-#: multi-condition, multi-seed campaign now evicts instead of growing
-#: without bound. Override per cache or with ``REPRO_TRACE_CACHE``.
+#: Default :class:`TraceCache` capacity. A cached trace is frozen: its
+#: columns plus an array page table, about 17 bytes per mapped page, and
+#: the derived columns and kernel streams its cells build — a few MB at
+#: suite lengths. 64 covers the full 26-app suite across two conditions
+#: with headroom, while a long multi-condition, multi-seed campaign
+#: evicts instead of growing without bound. Override per cache or with
+#: ``REPRO_TRACE_CACHE``.
 DEFAULT_TRACE_CAP = 64
 
 
@@ -79,12 +82,19 @@ class TraceCache:
     predictor tables built per `simulate` call); the trace itself and its
     page table are read-only during replay, so sharing is safe.
 
+    Each trace is kept frozen (:func:`~repro.workloads.storage.
+    freeze_trace`): its generation-time OS image — physical memory,
+    buddy allocator, dict page table — is dropped as soon as the trace
+    is generated, and what stays is the read-only form a pool worker's
+    attached trace and a loaded trace also replay.
+
     The memo is capped (least-recently-used eviction) because long
     suite/designspace campaigns touch hundreds of (app, length,
     condition, seed) combinations and every retained trace pins its
-    page table and derived columns in memory. ``max_traces`` defaults
-    to :data:`DEFAULT_TRACE_CAP` (env override ``REPRO_TRACE_CACHE``);
-    an evicted trace simply regenerates on next use.
+    page table, derived columns and kernel streams in memory.
+    ``max_traces`` defaults to :data:`DEFAULT_TRACE_CAP` (env override
+    ``REPRO_TRACE_CACHE``); an evicted trace simply regenerates on next
+    use.
     """
 
     def __init__(self, max_traces: Optional[int] = None):
@@ -106,7 +116,7 @@ class TraceCache:
         """Return the memoized trace ``recipe`` names, generating once."""
         trace = self._traces.get(recipe)
         if trace is None:
-            trace = generate_trace(*recipe[:4])
+            trace = freeze_trace(generate_trace(*recipe[:4]))
             self._traces[recipe] = trace
             while len(self._traces) > self.max_traces:
                 self._traces.popitem(last=False)

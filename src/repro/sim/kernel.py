@@ -137,17 +137,6 @@ def decline_counts() -> dict:
     return dict(DECLINES)
 
 
-def _cum(mask) -> np.ndarray:
-    """Length ``n + 1`` inclusive-prefix-sum with a leading zero.
-
-    ``out[j]`` counts true elements among the first ``j`` accesses, so
-    any range total is ``out[end] - out[start]``.
-    """
-    out = np.zeros(len(mask) + 1, dtype=np.int64)
-    np.cumsum(mask, out=out[1:])
-    return out
-
-
 # ----------------------------------------------------------------------
 # TLB snapshot / restore / copy (operates on _TlbArray internals, the
 # same planes TlbHierarchy.state_dict serializes)
@@ -395,9 +384,6 @@ class _TlbStream(_ReplayStream):
         cls[heads] = np.frombuffer(head_cls, dtype=np.int8)
         self.cls = cls
         self.snaps = snaps
-        self.cum_l1 = _cum(cls == 0)
-        self.cum_l2 = _cum(cls == 1)
-        self.cum_walk = _cum(cls == 2)
         self.walk_pos: List[int] = np.nonzero(cls == 2)[0].tolist()
         self._mark_end(n)
 
@@ -577,7 +563,7 @@ def _idb_pass(idb, pos, pc, va_page, pa_page, n: int) -> tuple:
     return np.frombuffer(hits, dtype=np.uint8).astype(bool), snaps
 
 
-#: Speculation outcome codes of :attr:`_SpecStream.cum_outcomes`.
+#: Speculation outcome codes of :attr:`_SpecStream.code`.
 _CS, _CB, _OL, _EA, _IDB = 1, 2, 3, 4, 5
 
 
@@ -591,12 +577,14 @@ class _SpecStream(_ReplayStream):
     unchanged, IDB hit). The perceptron runs as a generated loop
     (:func:`_perceptron_pass`); the IDB only at the accesses the
     perceptron bypasses to it (:func:`_idb_pass`); NAIVE has no
-    predictor state at all. ``corr[i + 1]`` is the perceptron's
-    absolute correct count after access ``i`` (its own prefix-sum).
-    Snapshots every :data:`STRIDE` accesses mirror :class:`_TlbStream`;
-    :meth:`advance` replays from them through the live ``_speculate``
-    over a :class:`_SpecShim`, which is what ``tests/
-    test_kernel_streams.py`` pins the generated passes against.
+    predictor state at all. Per access, ``code`` is the outcome code,
+    ``via`` marks a probe through the IDB's (or reversed-bit) value
+    prediction, and ``correct`` marks a correct perceptron prediction
+    (``None`` for NAIVE, which has no perceptron); the range folds
+    count them. Snapshots every :data:`STRIDE` accesses mirror
+    :class:`_TlbStream`; :meth:`advance` replays from them through the
+    live ``_speculate`` over a :class:`_SpecShim`, which is what
+    ``tests/test_kernel_streams.py`` pins the generated passes against.
     """
 
     def __init__(self, pc: list, va: list, pa: list, shim_args: tuple):
@@ -614,13 +602,13 @@ class _SpecStream(_ReplayStream):
         pa_bits = pa_page & mask
         unchanged = va_bits == pa_bits
         via = np.zeros(n, dtype=bool)
-        corr = np.zeros(n + 1, dtype=np.int64)
+        correct = None
         snaps = [(None, None)] * (n // STRIDE + 1)
         if shim._is_naive:
             code = np.where(unchanged, _CS, _EA)
         else:
             pred, perc_snaps = _perceptron_pass(perc, pc_arr, unchanged)
-            corr = _cum(pred == unchanged)
+            correct = pred == unchanged
             endorsed = np.where(unchanged, _CS, _EA)
             idb_snaps = None
             if shim._is_bypass:
@@ -645,16 +633,12 @@ class _SpecStream(_ReplayStream):
         self.fast = ((code == _CS) | (code == _IDB)).astype(np.uint8)
         self.extra = (code == _EA).astype(np.uint8)
         self.snaps = snaps
-        self.cum_fast = _cum(self.fast)
-        self.cum_extra = _cum(self.extra)
-        self.cum_outcomes = {c: _cum(code == c) for c in range(1, 6)}
-        self.cum_via = _cum(via)
-        self.cum_ea_via = _cum((code == _EA) & via)
+        self.code = code.astype(np.int8)
+        self.via = via
+        self.correct = correct
         # NAIVE/COMBINED probe on every access; BYPASS only on an
-        # endorsed speculation (outcomes CS or EA). None means "all".
-        self.cum_probes = (_cum((code == _CS) | (code == _EA))
-                           if shim._is_bypass else None)
-        self.corr = corr
+        # endorsed speculation (outcomes CS or EA).
+        self.probes_all = not shim._is_bypass
         self._mark_end(n)
 
     def _snap(self) -> tuple:
@@ -1229,8 +1213,7 @@ class KernelEngine:
         self._row_cursor = RowCursor(streams.columns)
         self._walk_events = streams.walk_events
         self._walk_pos = streams.walk_pos
-        self._cum_pconf = streams.cum_pconf
-        self._cum_inst = streams.cum_inst
+        self._conflict = streams.conflict
         self._extra = streams.extra
         self._mp = streams.mp
         self._walk, self._walk_sync = _walk_fn(ctx, streams.mp)
@@ -1319,8 +1302,8 @@ class KernelEngine:
             self._walk_sync[1]()
         # Every L1 miss fills, so the loop doesn't count fills.
         _fold_range(self._ctx, self._tlb_stream, self._spec_stream,
-                    self._cum_pconf, self._cum_inst, self._extra,
-                    start, end, hits, wp_pred, wp_corr, wp_sec,
+                    self._conflict, self._extra, start, end, hits,
+                    wp_pred, wp_corr, wp_sec,
                     evics=evics, l1_wb=l1_wb,
                     fills=(end - start) - hits,
                     fold_instructions=not self._detailed)
@@ -1350,7 +1333,7 @@ def _state_matches(ctx, ts, ss, extra, start: int) -> bool:
         return False
 
 
-def _fold_range(ctx, ts, ss, cum_pconf, cum_inst, extra,
+def _fold_range(ctx, ts, ss, conflict, extra,
                 start: int, end: int, hits: int,
                 wp_pred: int, wp_corr: int, wp_sec: int,
                 evics: int = 0, l1_wb: int = 0, fills: int = 0,
@@ -1359,6 +1342,9 @@ def _fold_range(ctx, ts, ss, cum_pconf, cum_inst, extra,
 
     Shared by :meth:`KernelEngine._flush` (after every chunk) and the
     multicore engine (once per core when its first pass completes).
+    The stream-side deltas are counts over the range's slice of the
+    per-access columns (TLB class, outcome code, IDB route, perceptron
+    correctness, port conflict, instruction gap).
     ``evics``/``l1_wb``/``fills`` come from the generated loop's
     inlined L1 fill; the multicore residue fills through the live
     ``_fill`` (which counts them itself) and passes zeros.
@@ -1371,9 +1357,11 @@ def _fold_range(ctx, ts, ss, cum_pconf, cum_inst, extra,
     d = end - start
     tstats = tlb.stats
     tstats.accesses += d
-    tstats.l1_hits += int(ts.cum_l1[end] - ts.cum_l1[start])
-    tstats.l2_hits += int(ts.cum_l2[end] - ts.cum_l2[start])
-    tstats.walks += int(ts.cum_walk[end] - ts.cum_walk[start])
+    l1_hits, l2_hits, walks = np.bincount(ts.cls[start:end],
+                                          minlength=3).tolist()
+    tstats.l1_hits += l1_hits
+    tstats.l2_hits += l2_hits
+    tstats.walks += walks
     cstats = l1.cache.stats
     cstats.accesses += d
     cstats.hits += hits
@@ -1382,44 +1370,40 @@ def _fold_range(ctx, ts, ss, cum_pconf, cum_inst, extra,
     cstats.writebacks += l1_wb
     cstats.fills += fills
     if fold_instructions:
-        ctx.core.stats.instructions += int(
-            cum_inst[end] - cum_inst[start])
-    ctx.port_conflicts += int(cum_pconf[end] - cum_pconf[start])
+        ctx.core.stats.instructions += d + int(
+            ctx.trace.inst_gap[start:end].sum(dtype=np.int64))
+    ctx.port_conflicts += int(np.count_nonzero(conflict[start:end]))
     ctx._port_busy = bool(extra[end - 1])
     sstats = l1.stats
     sstats.accesses += d
     if ss is not None:
-        fast_d = int(ss.cum_fast[end] - ss.cum_fast[start])
-        sstats.fast_accesses += fast_d
-        sstats.slow_accesses += d - fast_d
-        sstats.extra_l1_accesses += int(
-            ss.cum_extra[end] - ss.cum_extra[start])
-        if ss.cum_probes is None:
-            sstats.speculative_probes += d
-        else:
-            sstats.speculative_probes += int(
-                ss.cum_probes[end] - ss.cum_probes[start])
+        code = ss.code[start:end]
+        via = ss.via[start:end]
+        _, cs, cb, ol, ea, idb_hits = np.bincount(
+            code, minlength=6).tolist()
+        sstats.fast_accesses += cs + idb_hits
+        sstats.slow_accesses += d - cs - idb_hits
+        sstats.extra_l1_accesses += ea
+        sstats.speculative_probes += d if ss.probes_all else cs + ea
         outcomes = l1.outcomes
-        cums = ss.cum_outcomes
-        outcomes.correct_speculation += int(
-            cums[1][end] - cums[1][start])
-        outcomes.correct_bypass += int(cums[2][end] - cums[2][start])
-        outcomes.opportunity_loss += int(
-            cums[3][end] - cums[3][start])
-        outcomes.extra_access += int(cums[4][end] - cums[4][start])
-        outcomes.idb_hit += int(cums[5][end] - cums[5][start])
+        outcomes.correct_speculation += cs
+        outcomes.correct_bypass += cb
+        outcomes.opportunity_loss += ol
+        outcomes.extra_access += ea
+        outcomes.idb_hit += idb_hits
         outcomes.extra_access_after_idb += int(
-            ss.cum_ea_via[end] - ss.cum_ea_via[start])
+            np.count_nonzero(code[via] == _EA))
         perc = l1.perceptron
         if perc is not None:
             perc.stats.predictions += d
-            perc.stats.correct += int(ss.corr[end] - ss.corr[start])
+            perc.stats.correct += int(
+                np.count_nonzero(ss.correct[start:end]))
         idb = l1.idb
         if idb is not None:
-            idb_d = int(ss.cum_via[end] - ss.cum_via[start])
+            idb_d = int(np.count_nonzero(via))
             idb.stats.predictions += idb_d
             idb.stats.updates += idb_d
-            idb.stats.hits += int(cums[5][end] - cums[5][start])
+            idb.stats.hits += idb_hits
     elif l1._default_fast:
         sstats.fast_accesses += d
     else:
@@ -1473,7 +1457,7 @@ class _Streams:
     """One context's precomputed artifacts, shared by both engines."""
 
     __slots__ = ("kind", "ts", "ss", "columns", "walk_events",
-                 "walk_pos", "cum_pconf", "cum_inst", "extra", "mp")
+                 "walk_pos", "conflict", "extra", "mp")
 
 
 _CORE_KINDS = {OooCore: "ooo", InOrderCore: "ino",
@@ -1573,7 +1557,6 @@ def _build_streams(ctx):
         # the gap column stays raw counts for retire(), and there is
         # no instruction fold.
         gapcol = ctx._gap
-        cum_inst = None
     else:
         gapw_key = ("gapw", core.width)
         gapcol = memo.get(gapw_key)
@@ -1587,10 +1570,6 @@ def _build_streams(ctx):
                     w = seen[g] = g / width
                 gapcol.append(w)
             memo[gapw_key] = gapcol
-
-        cum_inst = memo.get("inst")
-        if cum_inst is None:
-            cum_inst = memo["inst"] = _cum(gap_arr + 1)
 
     lat_key = ("lat", tlb_key, spec_key, l1.hit_latency,
                ctx._conflict_window, ctx._conflict_cycles)
@@ -1623,9 +1602,9 @@ def _build_streams(ctx):
                         int(conflict[i]) * ctx._conflict_cycles)
                        for i in ts.walk_pos]
         lat_bundle = memo[lat_key] = (
-            lat_arr.tolist(), fast_arr.tolist(), walk_events,
-            _cum(conflict), extra_arr)
-    lat_list, fast_list, walk_events, cum_pconf, extra_arr = lat_bundle
+            lat_arr.tolist(), fast_arr.tolist(), walk_events, conflict,
+            extra_arr)
+    lat_list, fast_list, walk_events, conflict, extra_arr = lat_bundle
 
     streams = _Streams()
     streams.kind = kind
@@ -1635,8 +1614,7 @@ def _build_streams(ctx):
                        line_list, sidx_list, lat_list, fast_list)
     streams.walk_events = walk_events
     streams.walk_pos = ts.walk_pos
-    streams.cum_pconf = cum_pconf
-    streams.cum_inst = cum_inst
+    streams.conflict = conflict
     streams.extra = extra_arr
     streams.mp = _compile_miss_path(ctx.miss_path)
     if streams.mp is None:
@@ -1765,9 +1743,9 @@ class _McCore:
             s.mp[2]()
         if self.walk_sync is not None:
             self.walk_sync[1]()
-        _fold_range(self.ctx, s.ts, s.ss, s.cum_pconf, s.cum_inst,
-                    s.extra, 0, self.n, self.hits, self.wp_pred,
-                    self.wp_corr, self.wp_sec, fold_instructions=False)
+        _fold_range(self.ctx, s.ts, s.ss, s.conflict, s.extra, 0, self.n,
+                    self.hits, self.wp_pred, self.wp_corr, self.wp_sec,
+                    fold_instructions=False)
         ctx = self.ctx
         ctx.position = 0
         ctx.completed_once = True

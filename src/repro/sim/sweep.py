@@ -184,6 +184,20 @@ def grid_cells(spec: SweepSpec, n_accesses: Optional[int] = None):
                         yield cell_key(name, recipe, system), recipe, system
 
 
+class SweepRows(list):
+    """:func:`run_sweep`'s rows, in :func:`grid_cells` order.
+
+    A plain list of row dicts that also carries ``grid``, the list of
+    ``(key, recipe, system)`` cells the sweep walked, so a caller that
+    pairs rows with their cells (``repro.figures.compute``) does not
+    walk the grid and derive every cell identity a second time.
+    """
+
+    def __init__(self, rows: Iterable[dict], grid: List[tuple]):
+        super().__init__(rows)
+        self.grid = grid
+
+
 def _result_row(key: Dict[str, object], result) -> dict:
     """One finished cell's CSV row (no status fields, blank ratios).
 
@@ -329,8 +343,9 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
               checkpoint_every: Optional[int] = None,
               engine: str = "python",
               store: Optional[Union[ResultStore, str, Path]] = None
-              ) -> List[dict]:
-    """Run the grid; returns one dict per combination, FIELDS keys.
+              ) -> SweepRows:
+    """Run the grid; returns one dict per combination, FIELDS keys
+    (as :class:`SweepRows`, which also carries the walked grid).
 
     Cells execute through ``runner`` (a default, journal-less
     :class:`ResilientRunner` if omitted): a failing cell contributes an
@@ -459,7 +474,7 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
             for row in (hits[i] if i in hits else next(executed)
                         for i in range(len(grid)))]
     _fill_ratios(spec.baseline, grid, rows)
-    return rows
+    return SweepRows(rows, grid)
 
 
 def rows_from_store(spec: SweepSpec, n_accesses: Optional[int],

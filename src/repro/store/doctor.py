@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 from ..errors import CheckpointError, ConfigError
-from .jobs import jobs_dir, load_job
+from .jobs import list_jobs
 from .resultstore import ResultStore, is_cell_result
 
 #: Finding categories, in report order.
@@ -99,18 +99,9 @@ def _entry_findings(store: ResultStore) -> List[Finding]:
 
 def _job_findings(store: ResultStore) -> List[Finding]:
     """Scan job records for ones that no longer load."""
-    findings: List[Finding] = []
-    root = jobs_dir(store)
-    if not root.is_dir():
-        return findings
-    for path in sorted(root.glob("*.json")):
-        try:
-            load_job(store, path.stem)
-        except ConfigError as exc:
-            findings.append(Finding(
-                "corrupt-job", path,
-                f"job record {path.stem} does not load: {exc}"))
-    return findings
+    return [Finding("corrupt-job", path,
+                    f"job record {path.stem} does not load: {reason}")
+            for path, reason in list_jobs(store)[1]]
 
 
 def diagnose(store: ResultStore) -> List[Finding]:

@@ -102,18 +102,22 @@ def load_job(store: ResultStore, job_id: str) -> Dict[str, Any]:
     return record
 
 
-def list_jobs(store: ResultStore) -> List[Dict[str, Any]]:
-    """Every readable job record under the store, sorted by id."""
+def list_jobs(store: ResultStore
+              ) -> Tuple[List[Dict[str, Any]], List[Tuple[Path, str]]]:
+    """Every job record under the store, sorted by id: ``(records,
+    unreadable)``, where ``unreadable`` pairs the path of each record
+    that does not load with the reason (``repro store doctor`` reports
+    and removes those as ``corrupt-job``)."""
     root = jobs_dir(store)
-    records = []
-    if not root.is_dir():
-        return records
-    for path in sorted(root.glob("*.json")):
-        try:
-            records.append(load_job(store, path.stem))
-        except ConfigError:
-            continue
-    return records
+    records: List[Dict[str, Any]] = []
+    unreadable: List[Tuple[Path, str]] = []
+    if root.is_dir():
+        for path in sorted(root.glob("*.json")):
+            try:
+                records.append(load_job(store, path.stem))
+            except ConfigError as exc:
+                unreadable.append((path, str(exc)))
+    return records, unreadable
 
 
 def job_status(store: ResultStore, record: Dict[str, Any]

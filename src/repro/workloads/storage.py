@@ -6,60 +6,28 @@ workflow: a trace's access stream *and* its VA->PA mapping are saved
 together, so a loaded trace replays bit-identically without
 re-simulating the OS memory system.
 
-The page table is flattened to two arrays (vpn, pfn+flags); the process
-restored on load is a read-only shell — sufficient for replay, which
-only translates.
+The page table is flattened to three arrays (vpn, pfn, flags); the
+process restored on load is a read-only shell over an
+:class:`~repro.mem.page_table.ArrayPageTable` — sufficient for replay,
+which only translates. :func:`freeze_trace` turns a freshly generated
+trace into the same shell, so a cached, an attached and a loaded trace
+all replay one representation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from ..mem.address_space import PhysicalMemory, Process
-from ..mem.page_table import PageTable, PageTableEntry
+from ..mem.address_space import Process, VmStats
+from ..mem.page_table import ArrayPageTable, PageTable, flatten_page_table
 from .trace import MemoryCondition, Trace
 
 _FORMAT_VERSION = 1
-
-
-def flatten_page_table(table: PageTable):
-    """Flatten a page table to ``(vpns, pfns, flags)`` numpy arrays.
-
-    Flag bits: 1 = huge, 2 = writable. This is the interchange format
-    shared by the ``.npz`` trace files here and the shared-memory
-    substrate (:mod:`repro.workloads.substrate`) — both need the
-    VA->PA mapping as plain arrays a reader can rebuild from. The
-    arrays are sorted by vpn: a canonical order (independent of page
-    fault order) that lets readers binary-search instead of building a
-    dict (see ``substrate.ArrayPageTable``).
-    """
-    vpns = []
-    pfns = []
-    flags = []
-    for vpn, entry in table.entries():
-        vpns.append(vpn)
-        pfns.append(entry.pfn)
-        flags.append((1 if entry.huge else 0)
-                     | (2 if entry.writable else 0))
-    vpn_arr = np.asarray(vpns, dtype=np.int64)
-    order = np.argsort(vpn_arr, kind="stable")
-    return (vpn_arr[order],
-            np.asarray(pfns, dtype=np.int64)[order],
-            np.asarray(flags, dtype=np.int8)[order])
-
-
-def build_page_table(vpns, pfns, flags, asid: int) -> PageTable:
-    """Rebuild a page table from :func:`flatten_page_table` arrays."""
-    table = PageTable(asid=asid)
-    for vpn, pfn, flag in zip(vpns, pfns, flags):
-        table.map_page(int(vpn), int(pfn),
-                       huge=bool(flag & 1),
-                       writable=bool(flag & 2))
-    return table
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
@@ -90,15 +58,21 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> Path:
 
 
 class ReplayProcess(Process):
-    """A read-only process shell reconstructed from a saved trace."""
+    """A read-only process shell: a page table and nothing behind it.
 
-    def __init__(self, page_table: PageTable):
+    What a loaded, attached or frozen trace replays against. ``stats``
+    are the generating process's fault counts when known.
+    """
+
+    def __init__(self, page_table: PageTable,
+                 stats: Optional[VmStats] = None):
         # Deliberately skip Process.__init__: there is no live physical
         # memory behind a replayed trace.
         self.memory = None
         self.page_table = page_table
         self.regions = []
         self._owned = set()
+        self.stats = stats if stats is not None else VmStats()
         self._next_va = self.HEAP_BASE
 
     def touch(self, va: int) -> int:  # pragma: no cover - guard only
@@ -106,8 +80,21 @@ class ReplayProcess(Process):
                            "cannot fault new pages")
 
 
-#: Backwards-compatible alias (pre-substrate name).
-_ReplayProcess = ReplayProcess
+def freeze_trace(trace: Trace) -> Trace:
+    """``trace`` with only what replay reads: the same columns over a
+    :class:`ReplayProcess` on an :class:`ArrayPageTable`.
+
+    A generated trace's process pins its whole generation-time OS
+    image — the :class:`~repro.mem.address_space.PhysicalMemory`, its
+    buddy allocator and a dict page table with one entry per mapped
+    page — none of which replay touches. The frozen copy translates
+    identically, so it replays byte-identically, and the image is freed
+    once the live trace is dropped.
+    """
+    table = trace.process.page_table
+    frozen = ArrayPageTable(*flatten_page_table(table), asid=table.asid)
+    return dataclasses.replace(
+        trace, process=ReplayProcess(frozen, trace.process.stats))
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
@@ -118,8 +105,8 @@ def load_trace(path: Union[str, Path]) -> Trace:
         if meta.get("version") != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported trace format version {meta.get('version')}")
-        table = build_page_table(data["vpns"], data["pfns"],
-                                 data["flags"], asid=int(meta["asid"]))
+        table = ArrayPageTable(data["vpns"], data["pfns"], data["flags"],
+                               asid=int(meta["asid"]))
         return Trace(
             app=meta["app"],
             condition=MemoryCondition(meta["condition"]),

@@ -54,9 +54,9 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..envutil import env_int
-from ..mem.address import PAGE_SHIFT, PAGE_SIZE, page_number
-from ..mem.page_table import PageTable, PageTableEntry
-from .storage import ReplayProcess, flatten_page_table
+from ..mem.address import PAGE_SHIFT
+from ..mem.page_table import ArrayPageTable, flatten_page_table
+from .storage import ReplayProcess
 from .trace import MemoryCondition, Trace
 
 #: Raw trace columns shipped through (and fingerprinted over), in the
@@ -83,7 +83,7 @@ def trace_fingerprint(trace: Trace) -> str:
 
 #: Default :class:`KernelMemo` capacity (entries, not bytes). One
 #: kernel stream set is a handful of entries (pa, addr, tlb, spec,
-#: gapw, inst, lat), so 64 holds several distinct configurations per
+#: gapw, lat), so 64 holds several distinct configurations per
 #: trace while a long multi-geometry campaign evicts instead of
 #: pinning every stream it ever built. Mirrors ``DEFAULT_TRACE_CAP``
 #: in spirit; override with ``REPRO_KERNEL_MEMO``.
@@ -183,18 +183,15 @@ class TraceColumns:
         ``pa >> PAGE_SHIFT`` for every access: the page table is only
         consulted once per *unique* page (``np.unique`` gathers the
         inverse mapping), not once per access — the part worth
-        precomputing. Huge pages need no special case: the page table
-        stores a 4K-granular ``pfn`` for every mapped vpn, so
+        precomputing — and an ``ArrayPageTable`` answers all of them
+        in one binary search. Huge pages need no special case: the page
+        table stores a 4K-granular ``pfn`` for every mapped vpn, so
         ``pa = (pfn << PAGE_SHIFT) | page_offset`` holds universally.
         """
         if self._ppn is None:
-            vpn = self.vpn
-            unique, inverse = np.unique(vpn, return_inverse=True)
-            lookup = self._trace.process.page_table.lookup
-            pfns = np.fromiter(
-                (lookup(int(v)).pfn for v in unique),
-                dtype=np.int64, count=len(unique))
-            self._ppn = pfns[inverse]
+            unique, inverse = np.unique(self.vpn, return_inverse=True)
+            table = self._trace.process.page_table
+            self._ppn = table.pfns_of(unique)[inverse]
         return self._ppn
 
     @property
@@ -268,100 +265,6 @@ def columns_for(trace: Trace) -> TraceColumns:
         cols = TraceColumns(trace)
         trace._columns = cols
     return cols
-
-
-class ArrayPageTable(PageTable):
-    """A read-only :class:`PageTable` view over flattened arrays.
-
-    Rebuilding a dict-backed page table on attach costs one
-    :class:`PageTableEntry` construction per mapped page — tens of
-    milliseconds per worker per trace, which at pool scale rivals a
-    whole simulation. Replay only ever *looks up* the pages the TLB
-    walks on, so this view binary-searches the (vpn-sorted, see
-    :func:`~repro.workloads.storage.flatten_page_table`) shared arrays
-    directly and constructs entries lazily, memoizing each in the
-    inherited ``_entries`` dict so a given page's entry is built at
-    most once per process. Lookups return values identical to the
-    eager table's, keeping replay byte-identical.
-    """
-
-    def __init__(self, vpns: np.ndarray, pfns: np.ndarray,
-                 flags: np.ndarray, asid: int = 0):
-        super().__init__(asid=asid)
-        if len(vpns) > 1 and not bool(np.all(vpns[:-1] < vpns[1:])):
-            order = np.argsort(vpns, kind="stable")
-            vpns, pfns, flags = vpns[order], pfns[order], flags[order]
-        self._vpns = vpns
-        self._pfns = pfns
-        self._flags = flags
-
-    def __len__(self) -> int:
-        return int(self._vpns.shape[0])
-
-    def __contains__(self, vpn: int) -> bool:
-        return self._find(vpn) >= 0
-
-    def _find(self, vpn: int) -> int:
-        index = int(np.searchsorted(self._vpns, vpn))
-        if (index < self._vpns.shape[0]
-                and int(self._vpns[index]) == vpn):
-            return index
-        return -1
-
-    def map_page(self, vpn: int, pfn: int, huge: bool = False,
-                 writable: bool = True) -> None:
-        raise ValueError("attached page tables are read-only")
-
-    def map_run(self, first_vpn: int, pfns, huge: bool = False) -> None:
-        raise ValueError("attached page tables are read-only")
-
-    def any_mapped(self, first_vpn: int, count: int) -> bool:
-        index = int(np.searchsorted(self._vpns, first_vpn))
-        return (index < self._vpns.shape[0]
-                and int(self._vpns[index]) < first_vpn + count)
-
-    def unmap_page(self, vpn: int) -> PageTableEntry:
-        raise ValueError("attached page tables are read-only")
-
-    def lookup(self, vpn: int) -> Optional[PageTableEntry]:
-        """Return the entry for ``vpn`` or ``None`` if unmapped."""
-        entry = self._entries.get(vpn)
-        if entry is None:
-            index = self._find(vpn)
-            if index < 0:
-                return None
-            flag = int(self._flags[index])
-            entry = PageTableEntry(pfn=int(self._pfns[index]),
-                                   huge=bool(flag & 1),
-                                   writable=bool(flag & 2))
-            self._entries[vpn] = entry
-        return entry
-
-    def translate(self, va: int) -> int:
-        entry = self.lookup(page_number(va))
-        if entry is None:
-            from ..mem.page_table import TranslationFault
-            raise TranslationFault(va)
-        return (entry.pfn << PAGE_SHIFT) | (va & (PAGE_SIZE - 1))
-
-    def translate_entry(self, va: int):
-        entry = self.lookup(page_number(va))
-        if entry is None:
-            from ..mem.page_table import TranslationFault
-            raise TranslationFault(va)
-        return (entry.pfn << PAGE_SHIFT) | (va & (PAGE_SIZE - 1)), entry
-
-    def is_mapped(self, va: int) -> bool:
-        return page_number(va) in self
-
-    def entries(self):
-        """Iterate (vpn, entry) pairs — materializes lazily once."""
-        for index in range(len(self)):
-            vpn = int(self._vpns[index])
-            yield vpn, self.lookup(vpn)
-
-    def mapped_bytes(self) -> int:
-        return len(self) * PAGE_SIZE
 
 
 # ---------------------------------------------------------------------

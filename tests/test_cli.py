@@ -372,6 +372,30 @@ def test_jobs_unknown_id_exits_1(tmp_path, capsys):
     assert "unknown job" in capsys.readouterr().err
 
 
+def test_jobs_status_names_unreadable_records_and_exits_1(tmp_path,
+                                                          capsys):
+    """A job record that does not load is named, with a pointer to the
+    doctor, beside the records that do; it never reads as "no jobs"."""
+    store = tmp_path / "store"
+    (store / "jobs").mkdir(parents=True)
+    (store / "jobs" / "mangled.json").write_text("{]")
+    assert main(["jobs", "status", "--store", str(store)]) == 1
+    out, err = capsys.readouterr()
+    assert "no jobs" not in out
+    assert "mangled.json" in err
+    assert "repro store doctor" in err
+    assert main(["jobs", "submit", *SWEEP_GRID, "--store", str(store)]) == 0
+    job_id = capsys.readouterr().out.split()[1].rstrip(":")
+    assert main(["jobs", "status", "--store", str(store)]) == 1
+    out, err = capsys.readouterr()
+    assert f"job {job_id}: 0/2 done, 2 pending" in out
+    assert "mangled.json" in err
+    assert main(["store", "doctor", "--repair", "--store", str(store)]) == 0
+    capsys.readouterr()
+    assert main(["jobs", "status", "--store", str(store)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_jobs_result_partial_streams_completed_cells(tmp_path, capsys):
     """PR 9: `jobs result --partial` streams the done rows of a grid
     whose remaining cells are still pending, exit 0."""

@@ -17,6 +17,7 @@ from repro.figures import (FIG9, FIG12, FIG13, FIG14, FIGURES, Figure,
                            ReadOnceStore, compute, private_store)
 from repro.sim import BASELINE_L1, SIPT_GEOMETRIES, experiment
 from repro.sim.experiment import TraceCache
+from repro.sim import sweep
 from repro.sim.resilience import ResilientRunner
 from repro.sim.sweep import SweepSpec, grid_cells
 from repro.store import ResultStore
@@ -84,7 +85,8 @@ def test_figs_12_and_9_after_the_others_simulate_only_new_cells(
 def test_a_figures_run_reads_each_digest_once(monkeypatch, tmp_path):
     """A warm run of figs. 13 and 14 (one grid, 78 cells) reads each
     digest once: not again after the store pre-pass, and not again for
-    the second figure."""
+    the second figure. Each figure walks its grid once, so each cell
+    identity is derived once per figure."""
     compute(FIG13, N, store=ResultStore(tmp_path))
     reads = []
     real = ResultStore.fetch_result
@@ -93,12 +95,21 @@ def test_a_figures_run_reads_each_digest_once(monkeypatch, tmp_path):
         reads.append(digest)
         return real(self, digest)
 
+    identities = []
+    real_identity = sweep.cell_identity
+
+    def counted_identity(recipe, system):
+        identities.append(1)
+        return real_identity(recipe, system)
+
     monkeypatch.setattr(ResultStore, "fetch_result", counted)
+    monkeypatch.setattr(sweep, "cell_identity", counted_identity)
     calls = _count_simulations(monkeypatch)
     with private_store(ResultStore(tmp_path)) as store:
         compute(FIG13, N, store=store)
         compute(FIG14, N, store=store)
     assert calls == []
+    assert len(identities) == 2 * 78
     assert sorted(reads) == sorted(set(_cells(FIG13)))
 
 

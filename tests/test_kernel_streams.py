@@ -51,12 +51,6 @@ _GEOMETRY_FOR_BITS = {1: "32K_4w", 2: "32K_2w", 3: "128K_4w"}
 _LENGTHS = [300, STRIDE, 2 * STRIDE, 2 * STRIDE + 517]
 
 
-def _cum(mask):
-    out = np.zeros(len(mask) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(mask, dtype=np.int64), out=out[1:])
-    return out
-
-
 def _tlb_params(tlb):
     return dict(
         l1_4k_entries=tlb._l1_4k.n_sets * tlb._l1_4k.n_ways,
@@ -90,27 +84,26 @@ def _reference_spec(l1, pc, va, pa):
     fast = np.zeros(n, dtype=np.int64)
     extra = np.zeros(n, dtype=np.int64)
     code = np.zeros(n, dtype=np.int64)
-    via = np.zeros(n, dtype=np.int64)
-    corr = np.zeros(n + 1, dtype=np.int64)
+    via = np.zeros(n, dtype=bool)
+    correct = np.zeros(n, dtype=bool)
     perc = l1.perceptron
     snaps = [_snap_spec(perc, l1.idb)]
     for i in range(n):
+        before = perc.stats.correct if perc is not None else 0
         f, e, outcome, v = l1._speculate(pc[i], va[i], pa[i])
         fast[i], extra[i], code[i], via[i] = f, e, _CODE[outcome], v
         if perc is not None:
-            corr[i + 1] = perc.stats.correct
+            correct[i] = perc.stats.correct > before
         if (i + 1) % STRIDE == 0:
             snaps.append(_snap_spec(perc, l1.idb))
-    return fast, extra, code, via, corr, snaps, _snap_spec(perc, l1.idb)
+    return (fast, extra, code, via, correct, snaps,
+            _snap_spec(perc, l1.idb))
 
 
 def _check_tlb_stream(ts, va, page_table, params, fresh=True):
     cls, snaps, final, pa = _reference_tlb(va, page_table, params)
     n = len(va)
     assert np.array_equal(ts.cls, cls)
-    assert np.array_equal(ts.cum_l1, _cum(cls == 0))
-    assert np.array_equal(ts.cum_l2, _cum(cls == 1))
-    assert np.array_equal(ts.cum_walk, _cum(cls == 2))
     assert list(ts.walk_pos) == np.nonzero(cls == 2)[0].tolist()
     assert len(ts.snaps) == len(snaps)
     for got, want in zip(ts.snaps, snaps):
@@ -124,23 +117,18 @@ def _check_tlb_stream(ts, va, page_table, params, fresh=True):
 
 
 def _check_spec_stream(ss, l1, pc, va, pa, fresh=True):
-    fast, extra, code, via, corr, snaps, final = _reference_spec(
+    fast, extra, code, via, correct, snaps, final = _reference_spec(
         l1, pc, va, pa)
     n = len(pc)
     assert np.array_equal(ss.fast, fast)
     assert np.array_equal(ss.extra, extra)
-    assert np.array_equal(ss.corr, corr)
-    assert np.array_equal(ss.cum_fast, _cum(fast))
-    assert np.array_equal(ss.cum_extra, _cum(extra))
-    for c in range(1, 6):
-        assert np.array_equal(ss.cum_outcomes[c], _cum(code == c)), c
-    assert np.array_equal(ss.cum_via, _cum(via))
-    assert np.array_equal(ss.cum_ea_via, _cum((code == 4) & (via == 1)))
-    if l1._is_bypass:
-        assert np.array_equal(ss.cum_probes,
-                              _cum((code == 1) | (code == 4)))
+    assert np.array_equal(ss.code, code)
+    assert np.array_equal(ss.via, via)
+    if l1.perceptron is not None:
+        assert np.array_equal(ss.correct, correct)
     else:
-        assert ss.cum_probes is None
+        assert ss.correct is None
+    assert ss.probes_all == (not l1._is_bypass)
     if not ss.stateless:
         assert len(ss.snaps) == len(snaps)
         for got, want in zip(ss.snaps, snaps):

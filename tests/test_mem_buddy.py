@@ -165,7 +165,7 @@ def _with_history(total, history):
 
 
 def _state(buddy):
-    return (dict(buddy._free_blocks), dict(buddy._allocated),
+    return (dict(buddy._free_blocks), buddy.allocated_blocks(),
             dataclasses.astuple(buddy.stats), buddy.free_blocks_by_order(),
             buddy.free_frames())
 
@@ -193,7 +193,7 @@ def test_property_allocate_all_order0_matches_frame_loop(total, history,
                                                          flip_seed, orders):
     rnd = random.Random(flip_seed)
     bulk, loop = _with_history(total, history), _with_history(total, history)
-    frames = bulk.allocate_all_order0()
+    frames = bulk.allocate_all_order0().tolist()
     assert frames == sorted(_drain_frame_by_frame(loop))
     assert _state(bulk) == _state(loop)
     bulk.check_invariants()
@@ -216,7 +216,7 @@ def test_property_free_run_matches_ascending_frees(total, history,
                                                    runs, orders):
     rnd = random.Random(flip_seed)
     bulk, loop = _with_history(total, history), _with_history(total, history)
-    drained = bulk.allocate_all_order0()
+    drained = bulk.allocate_all_order0().tolist()
     _drain_frame_by_frame(loop)
     # Free holes first, so runs can coalesce with free blocks around them.
     for frame in drained:
@@ -228,7 +228,8 @@ def test_property_free_run_matches_ascending_frees(total, history,
         run = range(base, base + (1 << order))
         if run.stop > total:
             continue
-        if all(bulk._allocated.get(frame) == 0 for frame in run):
+        blocks = bulk.allocated_blocks()
+        if all(blocks.get(frame) == 0 for frame in run):
             bulk.free_runs([base], [order])
             for frame in run:
                 loop.free(frame, 0)
@@ -245,7 +246,7 @@ def test_property_free_run_matches_ascending_frees(total, history,
 def test_allocate_all_order0_on_full_allocator_counts_one_failure():
     buddy = BuddyAllocator(8)
     buddy.allocate(3)
-    assert buddy.allocate_all_order0() == []
+    assert buddy.allocate_all_order0().tolist() == []
     assert buddy.stats.failed_allocations == 1
     assert buddy.stats.allocations == 1
 
@@ -255,7 +256,7 @@ def test_allocate_all_order0_on_full_allocator_counts_one_failure():
 def test_free_run_rejects_bad_runs_without_side_effects(spoil):
     buddy = BuddyAllocator(64)
     buddy.allocate(1)                      # frames 0-1: one order-1 block
-    frames = buddy.allocate_all_order0()   # frames 2-63: order 0
+    frames = buddy.allocate_all_order0().tolist()  # frames 2-63: order 0
     base, order = 4, 2
     if spoil == "free_frame":
         buddy.free(frames[3], 0)           # frame 5, inside the run

@@ -106,7 +106,7 @@ def reference_free_short_runs(buddy, grabbed, free_fraction, rng):
 
 
 def buddy_state(buddy):
-    return (buddy._free_blocks, buddy._allocated,
+    return (buddy._free_blocks, buddy.allocated_blocks(),
             dataclasses.astuple(buddy.stats))
 
 

@@ -37,7 +37,7 @@ def image_state(process):
     return (sorted(process.page_table.entries()),
             dataclasses.astuple(process.stats),
             sorted(buddy._free_blocks.items()),
-            sorted(buddy._allocated.items()),
+            sorted(buddy.allocated_blocks().items()),
             dataclasses.astuple(buddy.stats))
 
 

@@ -367,7 +367,7 @@ def test_job_lifecycle_and_overlap_sharing(tmp_path):
     # Resubmitting the identical grid is the same job, not a duplicate.
     again = submit_job(store, grid, cells)
     assert again["id"] == summary["id"]
-    assert len(list_jobs(store)) == 1
+    assert len(list_jobs(store)[0]) == 1
     # An overlapping, wider grid: every cell is pending for both jobs.
     wide = SweepSpec(apps=["gamess", "tonto"],
                      configs=dict(spec.configs), seeds=[0],

@@ -108,10 +108,15 @@ def test_corrupt_job_record_diagnosed(store):
     cats = [f.category for f in diagnose(store)]
     # The loadable record is healthy; only the mangled one is reported.
     assert cats == ["corrupt-job"]
+    # `jobs status` lists the loadable record and names the mangled one.
+    records, unreadable = list_jobs(store)
+    assert [r["id"] for r in records] == [good["id"]]
+    assert [path for path, _reason in unreadable] == [bad]
     repair(store, diagnose(store))
     assert not bad.exists()
-    # `jobs status` lists the loadable record and skips the mangled one.
-    assert [r["id"] for r in list_jobs(store)] == [good["id"]]
+    records, unreadable = list_jobs(store)
+    assert [r["id"] for r in records] == [good["id"]]
+    assert unreadable == []
     assert (jobs_dir(store) / f"{good['id']}.json").exists()
 
 

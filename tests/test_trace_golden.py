@@ -133,7 +133,7 @@ def memory_image_digest(trace) -> str:
     put("vm_stats", dataclasses.astuple(trace.process.stats))
     buddy = trace.process.memory.buddy
     put("free_blocks", sorted(buddy._free_blocks.items()))
-    put("allocated", sorted(buddy._allocated.items()))
+    put("allocated", sorted(buddy.allocated_blocks().items()))
     put("buddy_stats", dataclasses.astuple(buddy.stats))
     return h.hexdigest()
 
