@@ -234,8 +234,8 @@ def cmd_suite(args) -> int:
                      conditions=[CONDITIONS[args.condition]],
                      baseline=SUITE_BASELINE)
     runner = _runner(args)
-    rows = run_sweep(spec, n_accesses=args.accesses, traces=TraceCache(),
-                     runner=runner, checkpoint_every=args.checkpoint_every,
+    rows = run_sweep(spec, n_accesses=args.accesses, runner=runner,
+                     checkpoint_every=args.checkpoint_every,
                      engine=args.engine)
     speedups = []
     print(f"{'app':>14s} {'IPC':>7s} {'speedup':>8s} {'fast':>6s} "
@@ -334,8 +334,7 @@ def cmd_sweep(args) -> int:
     spec = _sweep_spec(args)
     runner = _runner(args)
     store = _store_from(args)
-    rows = run_sweep(spec, n_accesses=args.accesses, traces=TraceCache(),
-                     runner=runner,
+    rows = run_sweep(spec, n_accesses=args.accesses, runner=runner,
                      checkpoint_every=args.checkpoint_every,
                      engine=args.engine,
                      store=store)
@@ -394,8 +393,8 @@ def cmd_jobs(args) -> int:
     spec, accesses = _spec_from_grid(record["grid"])
     if args.action == "run":
         runner = _runner(args)
-        run_sweep(spec, n_accesses=accesses, traces=TraceCache(),
-                  runner=runner, engine=args.engine, store=store)
+        run_sweep(spec, n_accesses=accesses, runner=runner,
+                  engine=args.engine, store=store)
         _store_report(store, runner)
         return _finish(args, runner)
     # action == "result"
@@ -458,13 +457,18 @@ def cmd_figures(args) -> int:
     One runner, one trace cache and one read-once result store serve
     every figure (:mod:`repro.figures`), so a cell shared by two
     figures is simulated, or read from ``--store``, once; with
-    ``--store`` a rerun simulates nothing.
+    ``--store`` a rerun simulates nothing. The cache is planned over
+    every figure's grids before the first, so each trace is generated
+    once and freed after the last cell that replays it.
     """
     from .figures import FIGURES, compute, private_store
     from .report import print_table
+    from .sim.sweep import plan_traces
     runner = _runner(args)
     store = _store_from(args)
-    traces = TraceCache()
+    traces = plan_traces(TraceCache(), [
+        spec for figure in FIGURES for spec in figure.specs],
+        args.accesses)
     with private_store(store) as bound:
         for figure in FIGURES:
             print_table(*figure.render(compute(

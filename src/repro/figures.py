@@ -46,7 +46,7 @@ from .sim.executors import STATUS_OK
 from .sim.experiment import TraceCache
 from .sim.resilience import ResilientRunner
 from .sim.results import SimResult, arithmetic_mean, harmonic_mean
-from .sim.sweep import SweepSpec, run_sweep
+from .sim.sweep import SweepSpec, plan_traces, run_sweep
 from .store.resultstore import ResultStore
 from .workloads.mixes import MIXES
 from .workloads.spec import EVALUATED_APPS
@@ -531,11 +531,15 @@ def compute(figure: Figure, n_accesses: Optional[int] = None,
     already in the store — another figure's, or a previous run's — are
     read instead of simulated. Every cell's result is then read back by
     its cell identity; pass the store :func:`private_store` yields to
-    let a sequence of figures share one read-once memo. Raises
+    let a sequence of figures share one read-once memo, and one
+    ``traces`` cache planned over all their specs
+    (:func:`~repro.sim.sweep.plan_traces`) to generate each trace once.
+    Without ``traces``, the figure plans a cache of its own. Raises
     :class:`~repro.errors.SimulationError` naming the first cell whose
     row is not ok or whose result is not readable.
     """
-    traces = traces or TraceCache()
+    if traces is None:
+        traces = plan_traces(TraceCache(), figure.specs, n_accesses)
     runner = runner or ResilientRunner()
     results: Dict[tuple, SimResult] = {}
     with private_store(store) as store:

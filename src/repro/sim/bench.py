@@ -164,7 +164,8 @@ def run_bench(apps: Optional[Iterable[str]] = None,
                               f"from {sorted(SIPT_GEOMETRIES)}")
         l1 = SIPT_GEOMETRIES[geometry]
     system = ooo_system(l1)
-    traces = traces or TraceCache()
+    if traces is None:
+        traces = TraceCache()
 
     per_app: Dict[str, dict] = {}
     total_time = 0.0
@@ -264,15 +265,13 @@ def _time_sweep_once(spec, n_accesses: int, jobs: int,
     """
     import shutil
     import tempfile
-    from .experiment import TraceCache
     from .resilience import ResilientRunner
     from .sweep import run_sweep
     tmp = tempfile.mkdtemp(prefix="repro-bench-sweep-")
     try:
         runner = ResilientRunner(jobs=jobs, checkpoint_dir=tmp)
         start = time.perf_counter()
-        rows = run_sweep(spec, n_accesses=n_accesses,
-                         traces=TraceCache(), runner=runner,
+        rows = run_sweep(spec, n_accesses=n_accesses, runner=runner,
                          engine=engine)
         return time.perf_counter() - start, rows
     finally:

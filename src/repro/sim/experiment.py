@@ -10,13 +10,14 @@ be scaled with the ``REPRO_ACCESSES`` environment variable.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import NamedTuple, Optional, Tuple
+from collections import Counter, OrderedDict
+from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from ..envutil import env_int
 from ..errors import ConfigError, ReproError
 from ..workloads.mixes import get_mix
 from ..workloads.storage import freeze_trace
+from ..workloads.substrate import drop_columns
 from ..workloads.trace import (MemoryCondition, Trace, TraceRecipe,
                                generate_trace)
 from .config import SystemConfig
@@ -65,13 +66,20 @@ def mix_recipe(name: str, n_accesses: Optional[int] = None,
         for core, app in enumerate(get_mix(name))))
 
 
-#: Default :class:`TraceCache` capacity. A cached trace is frozen: its
-#: columns plus an array page table, about 17 bytes per mapped page, and
-#: the derived columns and kernel streams its cells build — a few MB at
-#: suite lengths. 64 covers the full 26-app suite across two conditions
-#: with headroom, while a long multi-condition, multi-seed campaign
-#: evicts instead of growing without bound. Override per cache or with
-#: ``REPRO_TRACE_CACHE``.
+def trace_recipes(recipe: Union[TraceRecipe, MixRecipe]
+                  ) -> Tuple[TraceRecipe, ...]:
+    """The traces a cell replays: a mix's members, else its own."""
+    return recipe.members if isinstance(recipe, MixRecipe) else (recipe,)
+
+
+#: Default :class:`TraceCache` capacity for traces outside any plan. A
+#: cached trace is frozen: its columns plus an array page table, about
+#: 17 bytes per mapped page, and the derived columns and kernel streams
+#: its cells build — a few MB at suite lengths. Sweeps and the
+#: multi-sweep commands plan their caches, which frees each trace after
+#: its last cell, so the cap only bounds callers that fetch traces
+#: without a plan (``repro run``, the bench, tests). Override per cache
+#: or with ``REPRO_TRACE_CACHE``.
 DEFAULT_TRACE_CAP = 64
 
 
@@ -88,13 +96,18 @@ class TraceCache:
     is generated, and what stays is the read-only form a pool worker's
     attached trace and a loaded trace also replay.
 
-    The memo is capped (least-recently-used eviction) because long
-    suite/designspace campaigns touch hundreds of (app, length,
-    condition, seed) combinations and every retained trace pins its
-    page table, derived columns and kernel streams in memory.
-    ``max_traces`` defaults to :data:`DEFAULT_TRACE_CAP` (env override
-    ``REPRO_TRACE_CACHE``); an evicted trace simply regenerates on next
-    use.
+    Lifetimes are planned from the grid. The cache's owner declares
+    every cell it will run (:meth:`plan`), and each cell consumes its
+    use once its outcome is final (:meth:`release`); a trace is dropped
+    after its last planned use, and with it its derived columns and
+    kernel memo. The plan only ever frees memory early: a released
+    trace that is asked for again regenerates, byte-identically.
+
+    Traces with no planned use left are capped (least-recently-used
+    eviction) at ``max_traces``, which defaults to
+    :data:`DEFAULT_TRACE_CAP` (env override ``REPRO_TRACE_CACHE``);
+    an evicted trace simply regenerates on next use. A trace with
+    planned uses left is never evicted: its plan frees it.
     """
 
     def __init__(self, max_traces: Optional[int] = None):
@@ -105,6 +118,8 @@ class TraceCache:
                 f"max_traces must be >= 1, got {max_traces}")
         self.max_traces = max_traces
         self._traces: "OrderedDict[TraceRecipe, Trace]" = OrderedDict()
+        #: Planned uses left per trace recipe.
+        self._uses: "Counter[TraceRecipe]" = Counter()
 
     def get(self, app: str, n_accesses: Optional[int] = None,
             condition: MemoryCondition = MemoryCondition.NORMAL,
@@ -118,11 +133,39 @@ class TraceCache:
         if trace is None:
             trace = freeze_trace(generate_trace(*recipe[:4]))
             self._traces[recipe] = trace
-            while len(self._traces) > self.max_traces:
-                self._traces.popitem(last=False)
+            if len(self._traces) > self.max_traces:
+                unplanned = [r for r in self._traces if r not in self._uses]
+                for old in unplanned[:len(unplanned) - self.max_traces]:
+                    del self._traces[old]
         else:
             self._traces.move_to_end(recipe)
         return trace
+
+    def plan(self, recipes: Iterable[Union[TraceRecipe, MixRecipe]]
+             ) -> None:
+        """Declare one planned use per cell recipe in ``recipes``; a
+        mix cell uses each of its members once."""
+        for recipe in recipes:
+            self._uses.update(trace_recipes(recipe))
+
+    def release(self, recipe: Union[TraceRecipe, MixRecipe],
+                uses: int = 1) -> None:
+        """Consume ``uses`` planned uses of each trace ``recipe``
+        replays, without generating anything. A trace whose last use
+        this was is dropped; one outside the plan is left alone."""
+        for member in trace_recipes(recipe):
+            left = self._uses[member] - uses
+            if left > 0:
+                self._uses[member] = left
+            elif self._uses.pop(member, 0):
+                self._traces.pop(member, None)
+
+    def shed_columns(self) -> None:
+        """Drop every cached trace's derived columns and kernel memo;
+        the traces stay (a sweep's end, for traces a later sweep of
+        the same plan replays)."""
+        for trace in self._traces.values():
+            drop_columns(trace)
 
     def __len__(self) -> int:
         return len(self._traces)
@@ -132,7 +175,8 @@ class TraceCache:
         self._traces.clear()
 
 
-#: Module-level cache shared by the benchmark suite.
+#: The cache :func:`run_app` falls back to when it is given neither a
+#: trace nor a cache. Nothing plans it, so it keeps up to its LRU cap.
 SHARED_TRACES = TraceCache()
 
 
@@ -173,7 +217,8 @@ def run_app(app: str, system: SystemConfig,
     """
     try:
         if trace is None:
-            cache = cache or SHARED_TRACES
+            if cache is None:
+                cache = SHARED_TRACES
             trace = cache.get(app, n_accesses, condition, seed)
         return simulate(trace, system, interval=interval,
                         decision_trace=decision_trace,

@@ -1500,18 +1500,14 @@ def _build_streams(ctx):
     memo = cols.kernel_memo()
     asid = page_table.asid
 
-    pa_pair = memo.get("pa")
-    if pa_pair is None:
-        pa_arr = ((cols.ppn << PAGE_SHIFT)
-                  | (np.asarray(trace.va, dtype=np.int64)
-                     & _PAGE_OFF_MASK))
-        pa_pair = memo["pa"] = (pa_arr, pa_arr.tolist())
-    pa_arr, pa_list = pa_pair
+    pa_list = memo.get("pa")
+    if pa_list is None:
+        pa_list = memo["pa"] = _pa_column(cols, trace).tolist()
 
     addr_key = ("addr", cache.line_shift, cache.index_mask)
     addr = memo.get(addr_key)
     if addr is None:
-        line_arr = pa_arr >> cache.line_shift
+        line_arr = _pa_column(cols, trace) >> cache.line_shift
         addr = memo[addr_key] = (line_arr.tolist(),
                                  (line_arr & cache.index_mask).tolist())
     line_list, sidx_list = addr
@@ -1623,6 +1619,14 @@ def _build_streams(ctx):
         # silently-slower configuration can be diagnosed.
         _decline("miss-path-live")
     return streams
+
+
+def _pa_column(cols, trace) -> np.ndarray:
+    """Per-access physical address: ``ppn`` over ``va``'s page offset.
+    Built where a stream needs it and not kept; the memo holds only
+    the list form replay indexes."""
+    return ((cols.ppn << PAGE_SHIFT)
+            | (np.asarray(trace.va, dtype=np.int64) & _PAGE_OFF_MASK))
 
 
 # ----------------------------------------------------------------------

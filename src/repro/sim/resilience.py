@@ -382,7 +382,8 @@ class ResilientRunner:
         return self._run([(key, fn)], 1, degrade)[0]
 
     def run_cells(self, cells: Sequence[Tuple[Dict[str, Any],
-                                              Callable[[], Dict[str, Any]]]]
+                                              Callable[[], Dict[str, Any]]]],
+                  done: Optional[Callable[[int], None]] = None
                   ) -> List[Dict[str, Any]]:
         """Execute a batch of ``(key, fn)`` cells; rows in input order.
 
@@ -399,13 +400,17 @@ class ResilientRunner:
         semantics only depend on the set of records) — and the returned
         list preserves the input order, so downstream CSVs are
         byte-identical in either mode. Cell callables must be picklable
-        in parallel mode.
+        in parallel mode. ``done(index)`` is called once per cell, when
+        its row is final (replayed from the journal, or its outcome
+        recorded), however many attempts it made.
         """
-        return self._run(cells, self.jobs, True)
+        return self._run(cells, self.jobs, True, done)
 
     def _run(self, cells: Sequence[Tuple[Dict[str, Any],
                                          Callable[[], Dict[str, Any]]]],
-             jobs: int, degrade: bool) -> List[Dict[str, Any]]:
+             jobs: int, degrade: bool,
+             done: Optional[Callable[[int], None]] = None
+             ) -> List[Dict[str, Any]]:
         """The one cell lifecycle: resume replay, execution, and the
         outcome-to-row path (journal record + stats) for both modes."""
         rows: List[Optional[Dict[str, Any]]] = [None] * len(cells)
@@ -425,6 +430,8 @@ class ResilientRunner:
                         and self.journal_path != self._resume_path):
                     self._record(key, STATUS_OK, record.get("row", {}))
                 rows[index] = dict(record.get("row", {}))
+                if done is not None:
+                    done(index)
             else:
                 pending.append(CellTask(
                     index=index, key=key, fn=fn, ordinal=self._ordinal,
@@ -469,6 +476,8 @@ class ResilientRunner:
                            "error": outcome.payload}
                 self._record(key, status, row)
                 rows[outcome.index] = row
+                if done is not None:
+                    done(outcome.index)
         finally:
             self.stats.worker_restarts += executor.stats.worker_restarts
             self.stats.rescheduled += executor.stats.rescheduled

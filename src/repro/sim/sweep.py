@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -41,7 +42,8 @@ from ..errors import ConfigError, ReproError
 from ..ioutil import atomic_write_text
 from ..store.resultstore import ResultStore, cell_identity
 from ..workloads.mixes import MIXES
-from ..workloads.substrate import TraceHandle, TraceStore, attach
+from ..workloads.substrate import (TraceHandle, TraceStore, attach,
+                                   release_attached)
 from ..workloads.trace import MemoryCondition, TraceRecipe
 from . import faults as _faults
 from .checkpoint import checkpoint_path_for
@@ -49,7 +51,7 @@ from .config import L1Config, SystemConfig, system_for
 from .driver import simulate_multicore
 from .executors import STATUS_OK
 from .experiment import (MixRecipe, TraceCache, mix_recipe, run_app,
-                         trace_recipe)
+                         trace_recipe, trace_recipes)
 from .resilience import ResilientRunner
 
 #: The columns every sweep row carries, in CSV order. ``status`` is
@@ -64,6 +66,11 @@ FIELDS = ["app", "config", "core", "condition", "seed", "ipc",
 
 #: Core timing models a sweep may request.
 VALID_CORES = frozenset(SystemConfig.CORE_KINDS)
+
+#: How a ``--jobs N`` cell task reaches one trace it replays: the
+#: handle of the trace's published segment, and the grid position of
+#: the last pending cell that replays it (see :func:`_parallel_cell`).
+Lease = Tuple[TraceHandle, int]
 
 
 def _duplicates(values) -> list:
@@ -168,6 +175,13 @@ def grid_cells(spec: SweepSpec, n_accesses: Optional[int] = None):
     :func:`~repro.sim.experiment.trace_recipe`; a mix name's recipe is
     its :func:`~repro.sim.experiment.mix_recipe`.
     """
+    for name, recipe, system in _walk(spec, n_accesses):
+        yield cell_key(name, recipe, system), recipe, system
+
+
+def _walk(spec: SweepSpec, n_accesses: Optional[int]):
+    """Yield ``(config name, recipe, system)`` per cell in
+    :func:`grid_cells` order, without deriving cell identities."""
     recipe_for = {app: mix_recipe if app in MIXES else trace_recipe
                   for app in spec.apps}
     for core in spec.cores:
@@ -179,9 +193,23 @@ def grid_cells(spec: SweepSpec, n_accesses: Optional[int] = None):
             for seed in spec.seeds:
                 for name, system in systems.items():
                     for app in spec.apps:
-                        recipe = recipe_for[app](app, n_accesses,
-                                                 condition, seed)
-                        yield cell_key(name, recipe, system), recipe, system
+                        yield name, recipe_for[app](
+                            app, n_accesses, condition, seed), system
+
+
+def plan_traces(traces: TraceCache, specs: Iterable[SweepSpec],
+                n_accesses: Optional[int] = None) -> TraceCache:
+    """Plan ``traces`` for running ``specs`` through :func:`run_sweep`,
+    one after another, and return it.
+
+    Every grid cell is one planned use of each trace it replays; each
+    sweep consumes its cells' uses, so a trace is freed after the last
+    cell of the last spec that replays it. A command that runs several
+    sweeps on one cache plans it over all of them before the first.
+    """
+    traces.plan(recipe for spec in specs
+                for _name, recipe, _system in _walk(spec, n_accesses))
+    return traces
 
 
 class SweepRows(list):
@@ -262,17 +290,18 @@ def _parallel_cell(key: Dict[str, object],
                    system: SystemConfig,
                    checkpoint_every: Optional[int],
                    checkpoint_path: Optional[Path],
-                   source: Union[TraceHandle, Tuple[TraceHandle, ...],
-                                 TraceCache],
+                   source: Union[TraceCache, Tuple[Lease, ...]],
                    store: Optional[ResultStore],
-                   engine: str = "python") -> dict:
+                   engine: str = "python", position: int = 0) -> dict:
     """One sweep cell as a self-contained task — the only cell task.
 
     Serial sweeps run it in-process; ``--jobs N`` sweeps pickle it to a
-    pool worker. The trace comes from ``source``: a substrate handle
-    (a zero-copy attach of the parent's published segment; a mix's
-    tuple of them) under ``--jobs N``, the sweep's :class:`TraceCache`
-    when serial. A mix's members replay together through
+    pool worker. The traces come from ``source``: the sweep's
+    :class:`TraceCache` when serial, else one :data:`Lease` per trace
+    the cell replays (a zero-copy attach of the parent's published
+    segment). ``position`` is the cell's grid position: a worker first
+    releases every attached trace whose last cell is behind it. A
+    mix's members replay together through
     :func:`~repro.sim.driver.simulate_multicore` (which has no
     checkpoints). The result is published to ``store`` when one is
     bound, with ``key`` as its meta sidecar — unless data faults were
@@ -285,19 +314,19 @@ def _parallel_cell(key: Dict[str, object],
     """
     faulted = _faults.any_armed()
     try:
+        if isinstance(source, TraceCache):
+            traces = [source.of(member) for member in trace_recipes(recipe)]
+        else:
+            release_attached(position)
+            traces = [attach(handle, until) for handle, until in source]
         if isinstance(recipe, MixRecipe):
-            traces = ([attach(handle) for handle in source]
-                      if isinstance(source, tuple)
-                      else [source.of(member) for member in recipe.members])
             result = simulate_multicore(traces, system, engine=engine)
         else:
-            trace = (attach(source) if isinstance(source, TraceHandle)
-                     else source.of(recipe))
             result = run_app(recipe.app, system,
                              checkpoint_every=checkpoint_every,
                              checkpoint_path=checkpoint_path,
-                             resume_checkpoint=checkpoint_path, trace=trace,
-                             engine=engine)
+                             resume_checkpoint=checkpoint_path,
+                             trace=traces[0], engine=engine)
     except ReproError as exc:
         raise exc.with_context(app=recipe.app, config=key["config"],
                                seed=recipe.seed)
@@ -307,16 +336,37 @@ def _parallel_cell(key: Dict[str, object],
 
 
 def _publish(trace_store: TraceStore, traces: TraceCache,
-             recipe: Union[TraceRecipe, MixRecipe]
-             ) -> Union[TraceHandle, Tuple[TraceHandle, ...]]:
-    """Publish the trace a pending cell replays; returns its handle, or
-    a mix's tuple of per-member handles. Each member is published under
-    its own recipe, so a trace that a mix shares with a single-core
-    cell (or another mix) is rendered once."""
-    if isinstance(recipe, MixRecipe):
-        return tuple(trace_store.publish(traces.of(member), key=member)
-                     for member in recipe.members)
-    return trace_store.publish(traces.of(recipe), key=recipe)
+             recipes: Dict[int, Union[TraceRecipe, MixRecipe]],
+             pending: List[int]) -> Dict[int, Tuple[Lease, ...]]:
+    """Publish every trace a pending cell replays; returns each pending
+    position's leases.
+
+    ``recipes`` maps the grid position of each cell the sweep runs
+    (store hits excluded) to its recipe, and ``pending`` lists the
+    positions among them that execute (journal-resumed cells
+    excluded), in grid order. Each trace is
+    rendered once under its own recipe, so a trace that a mix shares
+    with a single-core cell (or another mix) has one segment, and its
+    lease carries the last pending position that replays it. Publishing
+    consumes the sweep's planned uses of the trace in ``traces``, so
+    the parent frees it at once unless a later sweep of the plan
+    replays it; a trace no pending cell replays is released without
+    being generated.
+    """
+    uses = Counter(member for recipe in recipes.values()
+                   for member in trace_recipes(recipe))
+    last = {member: position for position in pending
+            for member in trace_recipes(recipes[position])}
+    handles = {}
+    for member in sorted(last, key=lambda r: (
+            r.app, r.condition.value, r.seed)):
+        handles[member] = trace_store.publish(traces.of(member), key=member)
+        traces.release(member, uses.pop(member))
+    for member, count in uses.items():
+        traces.release(member, count)
+    return {position: tuple((handles[member], last[member])
+                            for member in trace_recipes(recipes[position]))
+            for position in pending}
 
 
 def _stored_rows(grid: List[tuple], store: ResultStore,
@@ -409,8 +459,19 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     engine — see ``repro.sim.kernel``); because the kernel is
     oracle-equivalent, the CSV is identical either way. Engine is
     deliberately *excluded* from the store digest for the same reason.
+
+    Without ``traces``, the sweep makes its own cache and plans it from
+    the cells the store does not serve, so each trace (with its derived
+    columns and kernel streams) is freed after its last cell. A cache
+    passed in is planned by its owner, for several sweeps at once with
+    :func:`plan_traces`; one nobody planned keeps its traces up to its
+    LRU cap. Either way a cell's use is consumed once its row is final:
+    a store hit or a journal-resumed cell releases its use without
+    generating, an executed cell after its last attempt, and under
+    ``jobs > 1`` the parent consumes every use when it publishes the
+    trace. Derived columns of traces left cached are dropped when the
+    sweep ends.
     """
-    traces = traces or TraceCache()
     runner = runner or ResilientRunner()
     if checkpoint_every is not None and runner.checkpoint_dir is None:
         raise ConfigError(
@@ -438,8 +499,8 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
     if store is not None and (runner.faults is not None
                               or _faults.any_armed()):
         store = None
-    # One walk of the grid serves the store pre-pass, the task list and
-    # the ratio fill: each cell's identity is derived once.
+    # One walk of the grid serves the store pre-pass, the plan, the task
+    # list and the ratio fill: each cell's identity is derived once.
     grid = list(grid_cells(spec, n_accesses))
     hits: Dict[int, dict] = {}
     if store is not None:
@@ -447,27 +508,42 @@ def run_sweep(spec: SweepSpec, n_accesses: Optional[int] = None,
                 grid, store, skip=runner.completed_ok)):
             if row is not None:
                 hits[i] = runner.record_hit(key, row)
-    cells = [cell for i, cell in enumerate(grid) if i not in hits]
-    handles: Dict[tuple, Union[TraceHandle, Tuple[TraceHandle, ...]]] = {}
+    cells = [(i, key, recipe, system)
+             for i, (key, recipe, system) in enumerate(grid)
+             if i not in hits]
+    if traces is None:
+        traces = TraceCache()
+        traces.plan(recipe for _i, _key, recipe, _system in cells)
+    else:
+        for i in hits:
+            traces.release(grid[i][1])
+    sources: Dict[int, Tuple[Lease, ...]] = {}
     trace_store: Optional[TraceStore] = None
     try:
         if runner.jobs > 1:
             trace_store = TraceStore()
-            pending = {recipe for key, recipe, _system in cells
-                       if not runner.completed_ok(key)}
-            for recipe in sorted(pending, key=lambda r: (
-                    r.app, r.condition.value, r.seed)):
-                handles[recipe] = _publish(trace_store, traces, recipe)
+            sources = _publish(
+                trace_store, traces,
+                {i: recipe for i, _key, recipe, _system in cells},
+                [i for i, key, _recipe, _system in cells
+                 if not runner.completed_ok(key)])
         tasks = [(key, partial(
             _parallel_cell, key, recipe, system, checkpoint_every,
             (checkpoint_path_for(runner.checkpoint_dir, key)
              if checkpoint_every else None),
-            handles.get(recipe, traces), store, engine=engine))
-            for key, recipe, system in cells]
-        executed = iter(runner.run_cells(tasks))
+            sources.get(i, traces), store, engine=engine, position=i))
+            for i, key, recipe, system in cells]
+        # Publishing consumed the uses of a pool's cells; a serial
+        # cell's is consumed once its row is final.
+        done = (None if trace_store is not None
+                else lambda index: traces.release(cells[index][2]))
+        executed = iter(runner.run_cells(tasks, done=done))
     finally:
         if trace_store is not None:
             trace_store.close()
+    # Traces the plan keeps for a later sweep lose what this one
+    # derived from them.
+    traces.shed_columns()
     # A degraded row carries its cell key, whose ``cell`` is not a CSV
     # column; every row is cut to FIELDS.
     rows = [{name: row.get(name, "") for name in FIELDS}

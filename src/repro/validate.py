@@ -34,6 +34,7 @@ from .sim import (
     harmonic_mean,
     run_sweep,
 )
+from .sim.sweep import plan_traces
 from .workloads import MemoryCondition
 
 #: Representative subset spanning the allocation styles and behaviours.
@@ -51,18 +52,22 @@ class Check:
     passed: bool
 
 
-def _suites(configs: Dict[str, L1Config], core: str,
-            condition: MemoryCondition, n: int, traces: TraceCache,
-            runner: ResilientRunner) -> List[Dict[str, dict]]:
-    """One sweep of ``configs`` over the scorecard apps.
+def _spec(configs: Dict[str, L1Config], core: str,
+          condition: MemoryCondition) -> SweepSpec:
+    """One grid of ``configs`` over the scorecard apps."""
+    return SweepSpec(apps=SCORECARD_APPS, configs=configs, cores=[core],
+                     conditions=[condition])
 
-    Returns one ``{app: row}`` suite per config, in ``configs`` order.
+
+def _suites(spec: SweepSpec, n: int, traces: TraceCache,
+            runner: ResilientRunner) -> List[Dict[str, dict]]:
+    """Run ``spec``; returns one ``{app: row}`` suite per config, in
+    ``spec.configs`` order.
+
     Failed cells are simply absent — the caller computes claims over
     the apps every suite completed.
     """
-    spec = SweepSpec(apps=SCORECARD_APPS, configs=configs, cores=[core],
-                     conditions=[condition])
-    suites: Dict[str, Dict[str, dict]] = {name: {} for name in configs}
+    suites: Dict[str, Dict[str, dict]] = {name: {} for name in spec.configs}
     for row in run_sweep(spec, n_accesses=n, traces=traces, runner=runner):
         if row["status"] == "ok":
             suites[row["config"]][row["app"]] = row
@@ -80,25 +85,29 @@ def run_scorecard(n_accesses: int = 12_000,
     check reports the degradation; if no app survives, raises
     :class:`SimulationError`.
     """
-    traces = traces or TraceCache()
     runner = runner or ResilientRunner()
     checks: List[Check] = []
     sipt = SIPT_GEOMETRIES["32K_2w"]
     n = n_accesses
     ideal = sipt.with_scheme(IndexingScheme.IDEAL)
-    base, sipt_r, ideal_r, naive_r = _suites(
-        {"base": BASELINE_L1, "sipt": sipt, "ideal": ideal,
-         "naive": replace(sipt, variant=SiptVariant.NAIVE)},
-        "ooo", MemoryCondition.NORMAL, n, traces, runner)
-    # In-order: capacity wins (Fig. 3).
-    base_io, io64_r, io32_r = _suites(
-        {"base": BASELINE_L1,
-         "io64": SIPT_GEOMETRIES["64K_4w"].with_scheme(IndexingScheme.IDEAL),
-         "io32": ideal},
-        "inorder", MemoryCondition.NORMAL, n, traces, runner)
-    # Fragmentation degrades mildly (Fig. 18).
-    frag_base, frag = _suites({"base": BASELINE_L1, "sipt": sipt}, "ooo",
-                              MemoryCondition.FRAGMENTED, n, traces, runner)
+    specs = [
+        _spec({"base": BASELINE_L1, "sipt": sipt, "ideal": ideal,
+               "naive": replace(sipt, variant=SiptVariant.NAIVE)},
+              "ooo", MemoryCondition.NORMAL),
+        # In-order: capacity wins (Fig. 3).
+        _spec({"base": BASELINE_L1,
+               "io64": SIPT_GEOMETRIES["64K_4w"].with_scheme(
+                   IndexingScheme.IDEAL),
+               "io32": ideal},
+              "inorder", MemoryCondition.NORMAL),
+        # Fragmentation degrades mildly (Fig. 18).
+        _spec({"base": BASELINE_L1, "sipt": sipt}, "ooo",
+              MemoryCondition.FRAGMENTED)]
+    if traces is None:
+        traces = plan_traces(TraceCache(), specs, n)
+    (base, sipt_r, ideal_r, naive_r), (base_io, io64_r, io32_r), \
+        (frag_base, frag) = [_suites(spec, n, traces, runner)
+                             for spec in specs]
 
     suites = [base, sipt_r, ideal_r, naive_r, base_io, io64_r, io32_r,
               frag_base, frag]

@@ -35,7 +35,9 @@ owner's pid in the name (``repro-trace-<pid>-<seq>``) and the next
 run's first ``publish`` scavenges segments whose owner is dead
 (:func:`scavenge_orphan_segments`). Workers only ever attach — they
 never own, and therefore never unlink, a segment (see :func:`_untrack`
-for the CPython < 3.13 tracker workaround this requires).
+for the CPython < 3.13 tracker workaround this requires), and a
+worker keeps an attachment only until it starts a cell past the last
+grid position that replays it (:func:`release_attached`).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -152,6 +154,12 @@ class TraceColumns:
     fingerprint pre-populated from the parent's computation; only the
     plain-list views are per-process (they must be, being Python
     objects).
+
+    The store refers to its trace weakly: the trace owns the store
+    (``trace._columns``), so a strong back-reference would make a
+    cycle, and a dropped trace would then wait for the cyclic garbage
+    collector instead of being freed, columns and kernel memo with it,
+    the moment its last reference goes.
     """
 
     __slots__ = ("_trace", "_vpn", "_ppn", "_index_delta",
@@ -161,7 +169,7 @@ class TraceColumns:
                  vpn: Optional[np.ndarray] = None,
                  ppn: Optional[np.ndarray] = None,
                  fingerprint: Optional[str] = None):
-        self._trace = trace
+        self._trace = weakref.ref(trace)
         self._vpn = vpn
         self._ppn = ppn
         self._index_delta: Optional[np.ndarray] = None
@@ -173,7 +181,7 @@ class TraceColumns:
     def vpn(self) -> np.ndarray:
         """Per-access virtual page number (``va >> PAGE_SHIFT``)."""
         if self._vpn is None:
-            self._vpn = self._trace.va >> PAGE_SHIFT
+            self._vpn = self._trace().va >> PAGE_SHIFT
         return self._vpn
 
     @property
@@ -190,7 +198,7 @@ class TraceColumns:
         """
         if self._ppn is None:
             unique, inverse = np.unique(self.vpn, return_inverse=True)
-            table = self._trace.process.page_table
+            table = self._trace().process.page_table
             self._ppn = table.pfns_of(unique)[inverse]
         return self._ppn
 
@@ -209,7 +217,7 @@ class TraceColumns:
     def fingerprint(self) -> str:
         """Content fingerprint (see :func:`trace_fingerprint`)."""
         if self._fingerprint is None:
-            self._fingerprint = trace_fingerprint(self._trace)
+            self._fingerprint = trace_fingerprint(self._trace())
         return self._fingerprint
 
     def lists(self) -> Tuple[list, list, list, list, list]:
@@ -223,7 +231,7 @@ class TraceColumns:
         Order matches :data:`RAW_COLUMNS`.
         """
         if self._lists is None:
-            trace = self._trace
+            trace = self._trace()
             self._lists = (trace.pc.tolist(), trace.va.tolist(),
                            trace.is_write.tolist(),
                            trace.inst_gap.tolist(),
@@ -265,6 +273,17 @@ def columns_for(trace: Trace) -> TraceColumns:
         cols = TraceColumns(trace)
         trace._columns = cols
     return cols
+
+
+def drop_columns(trace: Trace) -> None:
+    """Forget ``trace``'s derived-column store, kernel memo included.
+
+    The trace itself stays usable: :func:`columns_for` derives a fresh
+    store on next use. A sweep calls this on the traces it leaves
+    cached for a later sweep, so derived columns live no longer than
+    the sweep that built them.
+    """
+    trace._columns = None
 
 
 # ---------------------------------------------------------------------
@@ -313,11 +332,19 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-#: Worker-side attach memo: segment name -> (SharedMemory, Trace). The
-#: SharedMemory object must stay referenced for as long as the numpy
-#: views over its buffer live; the process-lifetime memo guarantees it
-#: (and makes repeat attaches free for sibling cells in one worker).
-_ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, Trace]] = {}
+#: Worker-side attach memo: segment name -> (SharedMemory, Trace, last
+#: grid position that replays it, or None for no planned end). Sibling
+#: cells in one worker share the entry; :func:`release_attached` drops
+#: it once the worker starts a cell past its last position, and
+#: :meth:`TraceStore.close` drops this process's entries of the
+#: segments it unlinks.
+_ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, Trace,
+                           Optional[int]]] = {}
+
+#: Detached segments whose mapping is not closed yet: ``close`` refuses
+#: while a numpy view of the buffer is alive (``BufferError``), so a
+#: mapping some caller still views is retried at the next release.
+_DETACHED: List[shared_memory.SharedMemory] = []
 
 #: Live stores, for the atexit safety net. Weak so a store that was
 #: closed and dropped does not linger here.
@@ -481,12 +508,14 @@ class TraceStore:
     def close(self) -> None:
         """Unlink every published segment (idempotent).
 
-        Workers that already attached keep their mappings until they
-        exit (POSIX unlink semantics); the backing pages are freed once
-        the last mapping goes away. A segment that something else
-        already removed is not an error.
+        This process's own attachments of the segments are dropped
+        too. Workers that still hold one keep their mapping until they
+        release it or exit (POSIX unlink semantics); the backing pages
+        are freed once the last mapping goes away. A segment that
+        something else already removed is not an error.
         """
         segments, self._segments = self._segments, {}
+        _detach(shm.name for shm, _ in segments.values())
         for shm, _ in segments.values():
             try:
                 shm.close()
@@ -502,16 +531,19 @@ class TraceStore:
         self.close()
 
 
-def attach(handle: TraceHandle) -> Trace:
+def attach(handle: TraceHandle, until: Optional[int] = None) -> Trace:
     """Open a published segment as a read-only, zero-copy Trace.
 
     Memoized per process and per segment: sibling cells running in the
     same pool worker share one ``Trace`` instance (and therefore one
-    :class:`TraceColumns`, including the hot-loop lists). The returned
-    arrays are numpy views straight over the shared pages with the
-    writeable flag cleared — replay only reads, and the fault
-    injector's ``corrupt_trace`` copies before mutating, so read-only
-    sharing is safe by construction.
+    :class:`TraceColumns`, including the hot-loop lists). ``until`` is
+    the grid position of the last cell that replays the trace; a
+    worker's :func:`release_attached` drops the attachment once it
+    starts a cell past it, and ``None`` keeps it until the segment's
+    store closes. The returned arrays are numpy views straight over the
+    shared pages with the writeable flag cleared — replay only reads,
+    and the fault injector's ``corrupt_trace`` copies before mutating,
+    so read-only sharing is safe by construction.
     """
     cached = _ATTACHED.get(handle.name)
     if cached is not None:
@@ -542,5 +574,35 @@ def attach(handle: TraceHandle) -> Trace:
     trace._columns = TraceColumns(trace, vpn=views["vpn"],
                                   ppn=views["ppn"],
                                   fingerprint=str(meta["fingerprint"]))
-    _ATTACHED[handle.name] = (shm, trace)
+    _ATTACHED[handle.name] = (shm, trace, until)
     return trace
+
+
+def release_attached(position: int) -> None:
+    """Drop every attached trace whose last position is before
+    ``position``, the grid position of the cell this process starts.
+
+    The trace, its derived columns and kernel memo are freed by
+    reference counting as the memo lets go of them, and the segment's
+    mapping is closed once no view of it is left. Cells are started in
+    grid order, so a dropped trace is one no later cell replays; a
+    rescheduled earlier cell simply attaches again, since segments live
+    until their :class:`TraceStore` closes.
+    """
+    _detach([name for name, (_shm, _trace, until) in _ATTACHED.items()
+             if until is not None and until < position])
+
+
+def _detach(names) -> None:
+    """Forget the attachments named ``names`` and close every detached
+    mapping that no view holds any more."""
+    for name in names:
+        if name in _ATTACHED:
+            _DETACHED.append(_ATTACHED.pop(name)[0])
+    busy = []
+    for shm in _DETACHED:
+        try:
+            shm.close()
+        except BufferError:  # a caller still holds a view of it
+            busy.append(shm)
+    _DETACHED[:] = busy

@@ -6,12 +6,12 @@ perlbench, libquantum, gamess, omnetpp and graph500 × the baseline,
 accesses, seed 1, ``--engine kernel``, serial, into an empty ``--store``
 root (the grid of perfbench's ``sweep-cold`` workload). Then it reads
 ``resource.getrusage(RUSAGE_SELF).ru_maxrss``: the peak covers the
-interpreter, the imports and every trace and kernel stream the sweep
-keeps, which is what a first campaign pays in memory.
+interpreter, the imports and the traces and kernel streams the sweep
+holds at once, which is what a first campaign pays in memory.
 
 Usage::
 
-    PYTHONPATH=src python tools/check_cold_rss.py --max-mb 130
+    PYTHONPATH=src python tools/check_cold_rss.py --max-mb 93
 
 Prints the peak in MB; exits 1 when it is above ``--max-mb`` or the
 sweep fails.
