@@ -36,6 +36,7 @@ resumable).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -85,6 +86,14 @@ def _positive_int(text: str) -> int:
     if int(text) <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return int(text)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of ``--timeout``: a positive, finite float."""
+    if not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, "
+                                         f"got {text}")
+    return float(text)
 
 
 def _l1(args, geometry: Optional[str] = None):
@@ -782,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="pool rebuilds allowed after worker deaths before "
                      "the remaining cells degrade to serial in-process "
                      "execution (default: jobs x 3)")
-        group.add_argument("--timeout", type=float, default=None,
+        group.add_argument("--timeout", type=_positive_float, default=None,
                            metavar="SECONDS", help="per-cell deadline")
         group.add_argument("--retries", type=int, default=2,
                            help="retry budget for transient errors")

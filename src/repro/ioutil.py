@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import errno
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -135,6 +134,28 @@ def _torn_payload(data: bytes) -> bytes:
     return data[:len(data) // 2]
 
 
+def _replace(path: Path, data, mode: str, fsync: bool, **kwargs) -> Path:
+    """Write ``data`` to a fresh temp file beside ``path``, then rename
+    it over ``path``. The temp file is named before it exists, so an
+    exception raised at any bytecode in between — a cell deadline's
+    timer included — still finds it and unlinks it."""
+    tmp_name = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp_name, mode, **kwargs) as handle:
+            handle.write(data)
+            handle.flush()
+            if fsync:
+                os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    return path
+
+
 def atomic_write_bytes(path: Union[str, Path], data: bytes,
                        fsync: bool = True, *,
                        retries: Optional[int] = None,
@@ -154,27 +175,8 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes,
     (reported as success — the damage readers must treat as a miss).
     """
     path = Path(path)
-
-    def write() -> Path:
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
-                                        prefix=path.name + ".",
-                                        suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                if fsync:
-                    os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    out = _io_call(write, op="atomic-write-bytes", path=path,
+    out = _io_call(lambda: _replace(path, data, "xb", fsync),
+                   op="atomic-write-bytes", path=path,
                    retries=retries, sleep=sleep)
     if out is _TORN:
         with open(path, "wb") as handle:
@@ -213,27 +215,8 @@ def atomic_write_text(path: Union[str, Path], text: str,
     non-atomic tear readers must treat as damage.
     """
     path = Path(path)
-
-    def write() -> Path:
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
-                                        prefix=path.name + ".",
-                                        suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", newline="") as handle:
-                handle.write(text)
-                handle.flush()
-                if fsync:
-                    os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    out = _io_call(write, op="atomic-write-text", path=path,
+    out = _io_call(lambda: _replace(path, text, "x", fsync, newline=""),
+                   op="atomic-write-text", path=path,
                    retries=retries, sleep=sleep)
     if out is _TORN:
         data = text.encode("utf-8")

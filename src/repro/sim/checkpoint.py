@@ -135,12 +135,10 @@ def render_checkpoint(*, state: Dict[str, Any], position: int, trace,
                       identity: Optional[Dict[str, Any]] = None) -> str:
     """Serialize one snapshot to its two-line file text.
 
-    Split out from :func:`write_checkpoint` so the driver can render
-    synchronously (the state dict references the live simulation and
-    must be serialized before replay continues) and hand the resulting
-    *immutable* string to a background writer thread — taking the
-    filesystem, whose latency tail is unbounded on a contended
-    machine, off the replay's critical path entirely.
+    Split out from :func:`write_checkpoint` for the callers that
+    write the text themselves: warm-state entries go to the result
+    store, and the driver's checkpoint loop degrades to checkpointless
+    when its write fails.
     """
     body_text = json.dumps(
         {"position": position,

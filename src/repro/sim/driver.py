@@ -26,7 +26,6 @@ a shared LLC/DRAM, recycling shorter traces until the longest completes
 from __future__ import annotations
 
 import sys
-import threading
 from itertools import islice
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Union
@@ -426,9 +425,10 @@ def _replay_chunked(ctx: _CoreContext, replay: Callable,
     boundaries (plus once for a trailing partial interval) and writes a
     digest-protected snapshot on checkpoint boundaries, so per-access
     cost is the replayer's own (docs/observability.md quantifies the
-    sampling overhead). Each snapshot replaces the file atomically,
-    and that rewrite is also what the ``--timeout`` watchdog reads as
-    progress (:func:`~repro.sim.executors.call_with_timeout`). Because
+    sampling overhead). Each snapshot is written in line and replaces
+    the file atomically; the ``--timeout`` watchdog reads that rewrite
+    as progress (:func:`~repro.sim.executors.call_with_timeout`), and a
+    failed write degrades the cell to checkpointless. Because
     every component restores in place, a resumed run's remaining
     chunks are byte-identical to an uninterrupted run's.
 
@@ -465,87 +465,46 @@ def _replay_chunked(ctx: _CoreContext, replay: Callable,
             if sampler is not None:
                 sampler.load_state_dict(payload["sampler"])
     identity = None   # trace fingerprint, computed once on first write
-    # One-slot background writer: rendering a snapshot must happen
-    # synchronously (the state dict mirrors the live simulation), but
-    # the rendered text is immutable, so the file write — whose
-    # latency tail is unbounded on a contended disk — overlaps the
-    # next replay chunk. Joining before the next write keeps the
-    # atomic replaces ordered; the finally joins before any exit, so a
-    # caller that catches an injected WorkerCrash observes a complete
-    # snapshot file. fsync=False: rename-atomicity alone covers
-    # process death, the failure checkpoint/resume exists for (see
-    # write_checkpoint).
-    writer: Optional[threading.Thread] = None
-    writer_errors: List[BaseException] = []
-
-    def _join_writer() -> None:
-        nonlocal writer, checkpoint_every
-        if writer is not None:
-            writer.join()
-            writer = None
-        while writer_errors:
-            exc = writer_errors.pop()
-            if not isinstance(exc, OSError):
-                # Not an I/O failure — a bug in the render/write path
-                # must stay loud, not degrade.
-                raise CheckpointError(
-                    f"checkpoint write to {checkpoint_path} failed: "
-                    f"{exc}")
-            if checkpoint_every:
-                # Persistent I/O failure (the atomic write already
-                # retried transients): degrade this cell to
-                # checkpointless with one warning. The simulation is
-                # unaffected — it just loses mid-trace resumability,
-                # and the watchdog loses its progress signal.
+    while start < n:
+        if crash_at is not None and start >= crash_at:
+            raise _faults.WorkerCrash(
+                f"injected mid-simulation crash at access {crash_at}")
+        end = n
+        if checkpoint_every:
+            end = min(end, (start // checkpoint_every + 1)
+                      * checkpoint_every)
+        if interval:
+            end = min(end, (start // interval + 1) * interval)
+        if crash_at is not None:
+            end = min(end, crash_at)
+        replay(ctx, start, end)
+        ctx.position = 0 if end == n else end
+        if sampler is not None and (end == n or end % interval == 0):
+            sampler.sample(end)
+        if (checkpoint_path is not None and checkpoint_every
+                and end < n and end % checkpoint_every == 0):
+            if identity is None:
+                identity = trace_identity(ctx.trace)
+            text = render_checkpoint(
+                state=ctx.state_dict(), position=end,
+                trace=ctx.trace, cell=cell,
+                sampler_state=(sampler.state_dict()
+                               if sampler is not None else None),
+                identity=identity)
+            try:
+                # No fsync: rename atomicity covers process death, the
+                # failure resume exists for (see write_checkpoint).
+                atomic_write_text(Path(checkpoint_path), text,
+                                  fsync=False)
+            except OSError as exc:
+                # A persistent failure (transients were retried) costs
+                # the cell its resumability and the watchdog its
+                # progress signal, never the simulation.
                 checkpoint_every = None
                 print(f"[checkpoint] write to {checkpoint_path} "
                       f"failed ({exc}); degraded: continuing without "
                       "checkpoints", file=sys.stderr)
-
-    def _write_snapshot(text: str) -> None:
-        try:
-            atomic_write_text(Path(checkpoint_path), text, fsync=False)
-        except BaseException as exc:  # noqa: BLE001 — surfaced on join
-            writer_errors.append(exc)
-
-    try:
-        while start < n:
-            if crash_at is not None and start >= crash_at:
-                raise _faults.WorkerCrash(
-                    f"injected mid-simulation crash at access {crash_at}")
-            end = n
-            if checkpoint_every:
-                end = min(end, (start // checkpoint_every + 1)
-                          * checkpoint_every)
-            if interval:
-                end = min(end, (start // interval + 1) * interval)
-            if crash_at is not None:
-                end = min(end, crash_at)
-            replay(ctx, start, end)
-            ctx.position = 0 if end == n else end
-            if sampler is not None and (end == n or end % interval == 0):
-                sampler.sample(end)
-            if (checkpoint_path is not None and checkpoint_every
-                    and end < n and end % checkpoint_every == 0):
-                if identity is None:
-                    identity = trace_identity(ctx.trace)
-                text = render_checkpoint(
-                    state=ctx.state_dict(), position=end,
-                    trace=ctx.trace, cell=cell,
-                    sampler_state=(sampler.state_dict()
-                                   if sampler is not None else None),
-                    identity=identity)
-                _join_writer()
-                writer = threading.Thread(target=_write_snapshot,
-                                          args=(text,), daemon=True,
-                                          name="ckpt-writer")
-                writer.start()
-            start = end
-    finally:
-        if writer is not None:
-            writer.join()
-            writer = None
-    _join_writer()  # no thread left; surfaces a final write error
+        start = end
     if crash_at is not None and crash_at >= n:
         # An armed ordinal at/past the end still kills the run — the
         # injector promised a death, and tests rely on it firing.

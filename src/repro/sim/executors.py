@@ -6,7 +6,8 @@ through an executor, whatever its ``jobs`` count, and every executor
 runs each cell through :func:`_execute_cell` — the only
 retry/timeout/degrade loop in the package. The runner only ever sees
 :class:`CellOutcome` records and turns each into one row, one journal
-record and one stats update.
+record and one stats update. No executor starts a thread: a cell's
+deadline is a timer on its own (see :func:`call_with_timeout`).
 
 * :class:`Executor` — the interface: ``run(tasks)`` yields one
   :class:`CellOutcome` per :class:`CellTask`.
@@ -52,7 +53,6 @@ import os
 import shutil
 import signal
 import tempfile
-import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
@@ -98,64 +98,81 @@ def _file_stamp(path: Path) -> Optional[Tuple[int, int]]:
     return st.st_ino, st.st_mtime_ns
 
 
+_REFIRE_S = 0.05  # timer repeat: raise again past a swallowed raise
+
+
+class _Expired(BaseException):
+    """The cell timer fired without progress. Not an ``Exception``, so
+    no ``except Exception`` in the cell (the kernel's decline handlers
+    among them) can swallow it."""
+
+
 def call_with_timeout(fn: Callable[[], Dict[str, Any]],
                       key: Dict[str, Any],
                       timeout_s: Optional[float],
                       checkpoint: Optional[Path] = None) -> Dict[str, Any]:
     """Run ``fn`` with an optional deadline; raises :class:`CellTimeout`.
 
-    The cell runs in a daemon worker thread; on expiry the thread is
-    abandoned (it cannot be killed) and the caller degrades the cell.
+    ``fn`` runs in the calling thread under a ``SIGALRM`` interval
+    timer whose handler raises into whatever bytecode the cell runs, so
+    a timed-out attempt is over when this call returns. Only the main
+    thread receives signals (POSIX only): a timed call from another
+    thread raises :class:`~repro.errors.ConfigError`.
 
     With a ``checkpoint`` path (the cell's mid-trace snapshot, which
     the checkpointed replay loop replaces atomically on every
     checkpoint boundary), the deadline is a *watchdog*: it measures
     time since the last observed **progress** — a new
     ``(st_ino, st_mtime_ns)`` on that file — not since the cell
-    started. A slow cell that keeps advancing keeps extending its
-    deadline; a hung one (no new snapshot for ``timeout_s``) still
-    fires. That is the distinction a fixed wall-clock deadline cannot
-    make. An absent or unchanged file reads as no progress, so a cell
-    whose snapshot writer has given up after a persistent write
-    failure sees a plain deadline from its last good snapshot.
+    started: on a new stamp the timer re-arms for the time left since
+    that snapshot, so a slow cell that keeps advancing keeps extending
+    its deadline, while a hung one (no new snapshot for ``timeout_s``)
+    times out. An absent or unchanged file reads as no progress, so a
+    cell degraded to checkpointless after a persistent write failure
+    sees a plain deadline from its last good snapshot.
     """
-    if not timeout_s:
+    if timeout_s is None:
         return fn()
-    box: Dict[str, Any] = {}
+    last = None if checkpoint is None else _file_stamp(checkpoint)
+    checked = time.monotonic()
+    armed = True
 
-    def target():
-        try:
-            box["row"] = fn()
-        except BaseException as exc:  # noqa: BLE001 — re-raised below
-            box["exc"] = exc
+    def on_alarm(_signum, _frame):
+        nonlocal last, checked
+        if not armed:
+            return      # the attempt is over; the timer is disarming
+        stamp = None if checkpoint is None else _file_stamp(checkpoint)
+        if stamp is None or stamp == last:
+            raise _Expired
+        # The snapshot is younger than the previous check, which bounds
+        # its age even on a skewed file clock.
+        now = time.monotonic()
+        age = min(max(time.time_ns() - stamp[1], 0) / 1e9, now - checked)
+        last, checked = stamp, now
+        signal.setitimer(signal.ITIMER_REAL, max(timeout_s - age, 1e-3),
+                         _REFIRE_S)
 
-    worker = threading.Thread(target=target, daemon=True, name="cell")
-    worker.start()
-    if checkpoint is None:
-        worker.join(timeout_s)
-    else:
-        deadline = time.monotonic() + timeout_s
-        last = _file_stamp(checkpoint)
-        while worker.is_alive():
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            worker.join(min(0.05, remaining))
-            stamp = _file_stamp(checkpoint)
-            if stamp is not None and stamp != last:
-                last = stamp
-                deadline = time.monotonic() + timeout_s
-    if worker.is_alive():
-        raise CellTimeout(
-            f"cell exceeded {timeout_s:g}s "
-            + ("without-progress watchdog" if checkpoint is not None
-               else "deadline"),
-            timeout_s=timeout_s,
-            app=key.get("app"), config=key.get("config"),
-            seed=key.get("seed"))
-    if "exc" in box:
-        raise box["exc"]
-    return box["row"]
+    try:
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+    except ValueError:
+        raise ConfigError("a cell deadline needs the main thread, the "
+                          "only one that receives signals") from None
+    try:
+        signal.setitimer(signal.ITIMER_REAL, timeout_s, _REFIRE_S)
+        return fn()
+    except _Expired:
+        pass
+    finally:
+        armed = False
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous or signal.SIG_DFL)
+    raise CellTimeout(
+        f"cell exceeded {timeout_s:g}s "
+        + ("without-progress watchdog" if checkpoint is not None
+           else "deadline"),
+        timeout_s=timeout_s,
+        app=key.get("app"), config=key.get("config"),
+        seed=key.get("seed"))
 
 
 def _execute_cell(fn: Callable[[], Dict[str, Any]],
@@ -261,10 +278,11 @@ class CellTask:
     ``index`` is the row index (the runner maps outcomes back to rows
     with it); ``ordinal`` is the serial-equivalent execution ordinal
     fault specs key on; ``data_specs`` are the data-level fault specs
-    to arm in whichever process runs the cell; ``checkpoint`` is the
-    cell's mid-trace snapshot path (``None`` without a checkpoint
-    directory), which the timeout watchdog reads as its progress
-    signal and the runner checks to classify a failure as resumable.
+    to arm in whichever process runs the cell, whose main thread runs
+    ``fn``; ``checkpoint`` is the cell's mid-trace snapshot path
+    (``None`` without a checkpoint directory), which the deadline's
+    timer reads as progress and the runner checks to classify a
+    failure as resumable.
     """
 
     index: int

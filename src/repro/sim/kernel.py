@@ -240,6 +240,7 @@ class _ReplayStream:
             start, snap = mark
         else:
             start, snap = k * STRIDE, self.snaps[k]
+        self.pos = -1   # until done: a deadline may interrupt the replay
         if pos > target or pos < start:
             self._load(snap)
             pos = start

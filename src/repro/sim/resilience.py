@@ -44,6 +44,7 @@ has one caller, :func:`~repro.sim.sweep.run_sweep` — the grid behind
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -185,9 +186,9 @@ class ResilientRunner:
         Commonly the same path as ``journal``, in which case records are
         not re-appended.
     timeout_s:
-        Per-cell deadline. The cell runs in a worker thread; on expiry
-        the runner abandons the thread (daemonized) and degrades the
-        cell to a ``timeout`` row. ``None`` disables the deadline.
+        Per-cell deadline in seconds, positive and finite; a cell past
+        it stops where it stands and degrades to a ``timeout`` row.
+        ``None`` disables the deadline.
     retry:
         :class:`RetryPolicy` for :class:`~repro.errors.TransientError`.
     faults:
@@ -239,6 +240,9 @@ class ResilientRunner:
                  max_cell_crashes: int = 2):
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
+        if timeout_s is not None and not 0 < timeout_s < math.inf:
+            raise ConfigError(
+                f"timeout_s must be positive and finite, got {timeout_s}")
         self._check_fault_mode(faults, jobs)
         self.max_worker_restarts = max_worker_restarts
         self.max_cell_crashes = max_cell_crashes

@@ -2,7 +2,7 @@
 
 A long-lived store root on a shared filesystem accumulates damage that
 no single sweep is positioned to clean up: ``*.tmp`` litter from
-writers SIGKILLed between ``mkstemp`` and ``os.replace``, entries
+writers SIGKILLed between temp file and ``os.replace``, entries
 truncated or corrupted by torn NFS client writes, and job records that
 no longer parse. Each of these degrades gracefully at read time
 (damage is a miss), but the litter costs disk, masks store slots, and

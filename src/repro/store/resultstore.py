@@ -109,7 +109,7 @@ LAYOUT = "v1"
 DEFAULT_CAP_BYTES = 512 * 1024 * 1024
 
 #: Age (seconds) past which an orphaned ``*.tmp`` file — the litter a
-#: SIGKILL between ``mkstemp`` and ``os.replace`` leaves behind — is
+#: SIGKILL between temp file and ``os.replace`` leaves behind — is
 #: swept by :meth:`ResultStore.gc`. Generous enough that a live
 #: writer's in-flight temp file is never collected out from under it.
 TMP_MAX_AGE_S = 3600.0
@@ -496,7 +496,7 @@ class ResultStore:
                         ) -> Iterable[Path]:
         """Yield ``*.tmp`` files under the root older than ``min_age_s``.
 
-        These are mkstemp temp files orphaned by a kill between
+        These are atomic writes' temp files orphaned by a kill between
         creation and the atomic ``os.replace`` — invisible to
         :meth:`entries`/:meth:`total_bytes` by design, so without a
         sweep they accumulate forever. ``min_age_s=0`` yields all of

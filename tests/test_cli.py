@@ -119,6 +119,22 @@ def test_sweep_unknown_geometry_exits_1(capsys):
     assert "unknown geometries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_sweep_rejects_a_non_positive_or_non_finite_timeout(
+        value, tmp_path, capsys):
+    """A deadline that cannot fire sensibly is a usage error, not a
+    grid of timeout or error rows (nor a deadline silently off)."""
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--apps", "povray", "--geometries",
+              "baseline,32K_2w", "--baseline", "baseline",
+              "--accesses", "1200", f"--timeout={value}",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_crash_and_resume(tmp_path, capsys):
     journal = tmp_path / "j.jsonl"
     out = tmp_path / "sweep.csv"

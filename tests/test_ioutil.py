@@ -48,6 +48,24 @@ def test_failed_write_preserves_old_content_and_cleans_up(
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+def test_an_interrupt_just_after_the_temp_file_exists_orphans_nothing(
+        tmp_path, monkeypatch):
+    """A cell deadline's timer can raise at any bytecode; one that lands
+    right after the temp file is created must not leave it behind."""
+    from repro import ioutil
+
+    def interrupted_open(name, *args, **kwargs):
+        open(name, *args, **kwargs).close()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ioutil, "open", interrupted_open, raising=False)
+    for write, payload in ((ioutil.atomic_write_text, "x"),
+                           (ioutil.atomic_write_bytes, b"x")):
+        with pytest.raises(KeyboardInterrupt):
+            write(tmp_path / "out", payload)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_temp_files_carry_recognizable_tmp_suffix(tmp_path,
                                                   monkeypatch):
     """Orphaned temps must end in `.tmp` so the store litter sweep and

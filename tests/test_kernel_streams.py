@@ -216,3 +216,28 @@ def test_multicore_streams_match_live_models():
         l1 = _build_l1(system)
         _check_spec_stream(streams.ss, l1, ctx._pc, ctx._va, pa,
                            fresh=False)
+
+
+def test_an_interrupted_advance_leaves_no_stale_position():
+    """A cell deadline can stop a memoized stream's advance halfway;
+    the next cell sharing the stream must not trust that state."""
+    trace = CACHE.get("graph500", 2 * STRIDE + 517)
+    l1 = _build_l1(ooo_system(SIPT_GEOMETRIES["32K_2w"]))
+    va = [int(v) for v in trace.va]
+    ts = kernel_mod._TlbStream(va, trace.process.page_table,
+                               _tlb_params(l1.tlb))
+    n, mid = len(va), 2 * STRIDE + 10
+    want = ts.snap_at(mid)
+    replay = ts._replay
+
+    def interrupted(start, stop):
+        replay(start, (start + stop) // 2)
+        raise KeyboardInterrupt
+
+    ts._replay = interrupted
+    try:
+        ts.advance(n)
+    except KeyboardInterrupt:
+        pass
+    del ts._replay
+    assert ts.snap_at(mid) == want
